@@ -1,24 +1,32 @@
-"""Learned Laplacian operators for unoriented point clouds on KNN graphs."""
+"""Learned Laplacian operators for unoriented point clouds on KNN graphs.
+
+The names below load their submodule on first use (PEP 562), so importing
+``pointlap.cli`` loads neither numpy nor scipy before ``--threads`` sets the
+BLAS thread variables.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .geometry import (Mesh, PointCloud, make_shape, normalize_unit_box,
-                       points_from_mesh)
-from .knn import KnnGraph, build_knn, coarsen_by_voxel, pool_features, unpool_features
-from .laplacian import (LaplacianPair, assemble_learned, cotangent_laplacian,
-                        heat_kernel_laplacian, uniform_laplacian)
-from .model import LaplacianNet, ModelConfig, build_hierarchy
-from .probes import ProbeSet, eval_probe_set, spatial_probes, spectral_probes
-from .sparse import SparseMatrix, cg_solve, eig_smallest, spmv
-from .training import TrainConfig, evaluate, loss_laplacian, loss_mass, train
+_SOURCES = {
+    "geometry": ("Mesh", "PointCloud", "make_shape", "normalize_unit_box", "points_from_mesh"),
+    "knn": ("KnnGraph", "build_knn", "coarsen_by_voxel", "pool_features", "unpool_features"),
+    "laplacian": ("LaplacianPair", "assemble_learned", "cotangent_laplacian",
+                  "heat_kernel_laplacian", "uniform_laplacian"),
+    "model": ("LaplacianNet", "ModelConfig", "build_hierarchy"),
+    "probes": ("ProbeSet", "eval_probe_set", "spatial_probes", "spectral_probes"),
+    "sparse": ("SparseMatrix", "cg_solve", "eig_smallest", "spmv"),
+    "training": ("TrainConfig", "evaluate", "loss_laplacian", "loss_mass", "train"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
-__all__ = [
-    "Mesh", "PointCloud", "make_shape", "normalize_unit_box", "points_from_mesh",
-    "KnnGraph", "build_knn", "coarsen_by_voxel", "pool_features", "unpool_features",
-    "LaplacianPair", "assemble_learned", "cotangent_laplacian",
-    "heat_kernel_laplacian", "uniform_laplacian",
-    "LaplacianNet", "ModelConfig", "build_hierarchy",
-    "ProbeSet", "eval_probe_set", "spatial_probes", "spectral_probes",
-    "SparseMatrix", "cg_solve", "eig_smallest", "spmv",
-    "TrainConfig", "evaluate", "loss_laplacian", "loss_mass", "train",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

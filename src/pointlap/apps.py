@@ -9,11 +9,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from .geometry import Mesh, PointCloud
 from .knn import KnnGraph
 from .laplacian import LaplacianPair
-from .sparse import cg_solve, eig_smallest, lambda_max_estimate
+from .sparse import SolveError, SparseMatrix, cg_solve, eig_smallest, lambda_max_estimate
 
 
 def heat_diffuse(pair: LaplacianPair, u0: np.ndarray, dt: float = 1e-3,
@@ -208,7 +209,8 @@ def arap_deform(points, graph: KnnGraph, pair: LaplacianPair,
 
     Edge weights come from the pair's stiffness matrix. Starts from the
     naive Laplacian solve (identity rotations), then alternates rotation
-    fitting with the constrained global solve. The energy after each
+    fitting with the constrained global solve, whose matrix is factored once
+    and whose every solve is checked by its true residual. The energy after each
     iteration is asserted non-increasing (up to solver tolerance).
     """
     rest = np.asarray(getattr(points, "points", points), dtype=np.float64)
@@ -233,9 +235,12 @@ def arap_deform(points, graph: KnnGraph, pair: LaplacianPair,
     pos_in_free = np.full(n, -1, dtype=np.int64)
     pos_in_free[fidx] = np.arange(fidx.size)
     mask_ff = free[rows] & free[cols]
-    from .sparse import SparseMatrix
     l_ff = SparseMatrix.from_coo(fidx.size, pos_in_free[rows[mask_ff]],
-                                 pos_in_free[cols[mask_ff]], vals[mask_ff])
+                                 pos_in_free[cols[mask_ff]], vals[mask_ff]).to_csc()
+    try:
+        lu = splu(l_ff)  # every global step solves with the same matrix
+    except RuntimeError as err:  # a free component that no constraint pins down
+        raise SolveError("ARAP system is singular", float("inf")) from err
     mask_fc = free[rows] & ~free[cols]
     fc_rows = pos_in_free[rows[mask_fc]]
     fc_cols = cols[mask_fc]
@@ -248,14 +253,19 @@ def arap_deform(points, graph: KnnGraph, pair: LaplacianPair,
         # b_i = sum_j w_ij/2 (R_i + R_j)(p_i - p_j)
         r_sum = rot[src] + rot[dst]
         contrib = 0.5 * w_dir[:, None] * np.einsum("eab,eb->ea", r_sum, rest[src] - rest[dst])
-        b = np.zeros((n, 3))
+        rhs = np.empty((fidx.size, 3))
         for a in range(3):
-            b[:, a] = np.bincount(src, weights=contrib[:, a], minlength=n)
+            rhs[:, a] = (np.bincount(src, weights=contrib[:, a], minlength=n)[fidx]
+                         - np.bincount(fc_rows, weights=fc_vals * current[fc_cols, a],
+                                       minlength=fidx.size))
+        x = lu.solve(rhs)
+        resid = np.linalg.norm(l_ff @ x - rhs, axis=0)
+        scale = np.linalg.norm(rhs, axis=0)
+        if np.any(resid > 1e-10 * scale):
+            worst = float(np.max(resid / np.maximum(scale, 1e-300)))
+            raise SolveError("ARAP global solve missed its residual", worst)
         new = current.copy()
-        for a in range(3):
-            rhs = b[fidx, a] - np.bincount(fc_rows, weights=fc_vals * new[fc_cols, a],
-                                           minlength=fidx.size)
-            new[fidx, a] = cg_solve(l_ff, rhs, tol=1e-12)
+        new[fidx] = x
         return new
 
     identity = np.tile(np.eye(3), (n, 1, 1))

@@ -1,14 +1,20 @@
-"""Sparse symmetric matrices in CSR form, CG, and a Lanczos eigensolver.
+"""Sparse symmetric matrices in CSR form, CG, and the smallest eigenpairs.
 
 The generalized problem L x = lambda M x with diagonal positive M is reduced
 to an ordinary symmetric problem through the exact similarity transform
-M^{-1/2} L M^{-1/2}; eigenvectors are mapped back and M-normalized.
+M^{-1/2} L M^{-1/2}; eigenvectors are mapped back and M-normalized. The
+eigenpairs come from scipy's shift-invert ARPACK, followed by one
+Rayleigh-Ritz pass, an inertia count that catches missed copies of repeated
+eigenvalues, and a check of every pair's true residual.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.sparse import csc_array, csr_array, diags_array, eye_array
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 
 class SolveError(RuntimeError):
@@ -110,6 +116,10 @@ class SparseMatrix:
             return float(np.abs(diff.data).max()) if diff.nnz else 0.0
         return float(np.abs(self.data - t.data).max()) if self.nnz else 0.0
 
+    def to_csc(self) -> csc_array:
+        """The same matrix as a scipy ``csc_array``."""
+        return csr_array((self.data, self.indices, self.indptr), shape=(self.n, self.n)).tocsc()
+
     def __matmul__(self, x):
         return spmv(self, x)
 
@@ -205,34 +215,51 @@ def lambda_max_estimate(l: SparseMatrix, m: np.ndarray, iters: int = 60, seed: i
     return float(abs(lam))
 
 
-def _ritz(h, betas, open_cols, dim, want):
-    """Rayleigh-Ritz on the projection H = Q^T A Q of the current basis Q.
+def _count_below(a: csc_array, tau: float) -> int:
+    """Eigenvalues of the symmetric `a` below `tau`, by Sylvester's law of inertia.
 
-    A Q = Q H + E, where E is zero except in the columns whose residual did
-    not become the next basis vector: each restart column and the last one.
-    Column j of E has norm at most betas[j], so ||A Q s - theta Q s|| =
-    ||E s|| <= sum over those j of betas[j] |s[j]|, which is the bound
-    returned for each of the `want` lowest Ritz pairs.
+    a - tau I is factored with diagonal pivots in a symmetric order, so the
+    diagonal of U holds the pivots of an LDL^T factorization.
     """
-    theta, s = np.linalg.eigh(h[:dim, :dim], UPLO="L")
-    cols = open_cols + [dim - 1]
-    bound = np.abs(betas[cols]) @ np.abs(s[cols, :min(want, dim)])
-    return theta, s, bound
+    lu = splu(a - tau * eye_array(a.shape[0], format="csc"), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolveError("the inertia count needed an off-diagonal pivot", float("nan"))
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def _rayleigh_ritz(a: csc_array, y: np.ndarray, count: int):
+    """The `count` lowest Ritz pairs of `a` on span(y), with A times the vectors.
+
+    The Ritz vectors come out orthonormal; a rank-deficient block (a vector
+    found twice) raises `SolveError`.
+    """
+    ay = a @ y
+    try:
+        theta, rot = scipy.linalg.eigh(y.T @ ay, y.T @ y, subset_by_index=(0, count - 1))
+    except np.linalg.LinAlgError as err:
+        raise SolveError("the eigenvector block is rank-deficient", float("inf")) from err
+    return theta, y @ rot, ay @ rot
 
 
 def eig_smallest(l: SparseMatrix, m: np.ndarray, count: int, seed: int = 0,
                  tol: float = 1e-10, max_dim: int | None = None) -> EigenPairs:
-    """Lanczos with full reorthogonalization for the `count` smallest pairs.
+    """The `count` smallest pairs of PSD `l` by shift-invert ARPACK (scipy `eigsh`).
 
-    The Ritz pairs come from a Rayleigh-Ritz on the explicit projection
-    Q^T A Q of the basis, which stays exact across restarts. Breakdown (an
-    exhausted invariant subspace) restarts with a fresh random vector
-    orthogonal to the basis, which is what recovers repeated eigenvalues.
-    Every returned pair has passed a check of its true residual
-    ||A y - theta y|| <= tol * max(|theta|, 1e-3 theta_max) in the
-    symmetric form A = M^{-1/2} L M^{-1/2}; otherwise `SolveError` is raised.
-    The start vector is drawn from `seed`, so results are reproducible; each
-    eigenvector's largest-magnitude entry is made positive.
+    A = M^{-1/2} L M^{-1/2} is shifted by sigma = -1e-6 g, with g the
+    Gershgorin bound on its spectrum, so A - sigma I is SPD and the lowest
+    eigenvalues become the largest of the inverted operator; it is factored
+    once. The block gets one Rayleigh-Ritz pass, which also orthonormalizes
+    it. A single Krylov space holds one copy of each repeated eigenvalue, so
+    the eigenvalues below the top one are counted by inertia, and missing
+    copies are sought by a rerun on the orthogonal complement of the pairs
+    found. While the basis would be a sixth of the space or more, a dense
+    LAPACK solve is as fast and is used instead. Every returned pair has
+    passed a check of its true residual
+    ||A y - theta y|| <= tol * max(|theta|, 1e-3 g); otherwise `SolveError`
+    is raised. `max_dim` caps each ARPACK run at that many basis vectors and
+    one pass. The start vector is drawn from `seed`, so results are
+    reproducible; each eigenvector's largest-magnitude entry is made positive.
     """
     n = l.n
     m = np.asarray(m, dtype=np.float64)
@@ -240,102 +267,57 @@ def eig_smallest(l: SparseMatrix, m: np.ndarray, count: int, seed: int = 0,
         raise ValueError("mass vector must be positive with length n")
     if not 0 < count < n:
         raise ValueError(f"count must be in (0, {n})")
+    if max_dim is not None and max_dim <= count:
+        raise ValueError("max_dim must exceed count")
     s = 1.0 / np.sqrt(m)
+    d = diags_array(s)
+    a = (d @ l.to_csc() @ d).tocsc()
+    g = max(float(abs(a).sum(axis=0).max()), 1e-300)
+    ncv = min(n, max(2 * count + 1, 20) if max_dim is None else max_dim)
+    if 6 * ncv > n:
+        theta, y = scipy.linalg.eigh(a.toarray(), subset_by_index=(0, count - 1))
+        ay = a @ y
+    else:
+        rng = np.random.default_rng(seed)
+        sigma = -1e-6 * g
+        lu = splu(a - sigma * eye_array(n, format="csc"))
+        found = np.empty((n, 0))
 
-    def matvec(y):
-        return s * spmv(l, s * y)
+        def project(x):  # onto the orthogonal complement of the pairs found
+            return x - found @ (found.T @ x) if found.size else x
 
-    def floor(theta):
-        return np.maximum(np.abs(theta[:count]), 1e-3 * max(theta[-1], 1e-300))
-
-    rng = np.random.default_rng(seed)
-    limit = n if max_dim is None else min(max_dim, n)
-    cap = min(limit, max(4 * count, 64))
-    q_basis = np.empty((n, cap))
-    h = np.zeros((cap, cap))  # lower triangle of Q^T A Q, filled row by row
-    betas = np.empty(limit)
-    open_cols = []  # restart columns: their residual was dropped from the basis
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    q_basis[:, 0] = q
-    dim = 1
-    scale = 0.0
-    next_check = min(limit, max(2 * count, 32))
-    # a single Krylov space holds one copy of each repeated eigenvalue, so a
-    # converged bottom spectrum is only accepted after a fresh random block
-    # fails to change it (exact multiplicities, e.g. symmetric graphs)
-    verified_theta = None
-    while True:
-        if dim == cap and dim < limit:
-            cap = min(limit, 2 * cap)
-            grown = np.empty((n, cap))
-            grown[:, :dim] = q_basis[:, :dim]
-            q_basis = grown
-            grown = np.zeros((cap, cap))
-            grown[:dim, :dim] = h[:dim, :dim]
-            h = grown
-        w = matvec(q_basis[:, dim - 1])
-        scale = max(scale, float(np.linalg.norm(w)), 1e-300)
-        basis = q_basis[:, :dim]
-        # the two Gram-Schmidt passes sum to row dim-1 of Q^T A Q
-        coef = basis.T @ w
-        w -= basis @ coef
-        again = basis.T @ w
-        w -= basis @ again
-        h[dim - 1, :dim] = coef + again
-        beta = float(np.linalg.norm(w))
-        betas[dim - 1] = beta
-        breakdown = beta <= 1e-13 * scale
-        restart = breakdown
-        if dim >= next_check or dim == limit or breakdown:
-            theta, svecs, bound = _ritz(h, betas, open_cols, dim, count)
-            if dim >= count and np.all(bound <= tol * floor(theta)):
-                bottom = theta[:count]
-                if verified_theta is not None and np.all(
-                        np.abs(bottom - verified_theta)
-                        <= 1e-9 * np.maximum(np.abs(bottom), 1e-6 * scale)):
-                    break
-                verified_theta = bottom.copy()
-                restart = True
-            next_check = min(limit, max(dim + 16, (3 * dim) // 2))
-        if dim == limit:
-            break
-        if restart:
-            w = rng.standard_normal(n)
-            basis = q_basis[:, :dim]
-            w -= basis @ (basis.T @ w)
-            w -= basis @ (basis.T @ w)
-            nw = float(np.linalg.norm(w))
-            if nw <= 1e-8:
+        op = LinearOperator((n, n), matvec=lambda x: project(lu.solve(project(x))),
+                            dtype=np.float64)
+        missing = count
+        for _ in range(count):
+            try:
+                z = eigsh(a, k=min(missing, count), sigma=sigma, which="LM", OPinv=op,
+                          v0=project(rng.standard_normal(n)),
+                          ncv=None if max_dim is None else ncv,
+                          maxiter=None if max_dim is None else 1)[1]
+            except ArpackNoConvergence as err:
+                raise SolveError(f"ARPACK converged {len(err.eigenvalues)} of {count} pairs "
+                                 f"with {ncv} basis vectors", float("inf")) from err
+            theta, y, ay = _rayleigh_ritz(a, np.hstack([found, z]), count)
+            tau = theta[-1] - 1e-8 * max(abs(theta[-1]), 1e-3 * g)
+            missing = _count_below(a, tau) - int(np.count_nonzero(theta < tau))
+            if missing <= 0:
                 break
-            open_cols.append(dim - 1)
-            q_basis[:, dim] = w / nw
-        else:
-            q_basis[:, dim] = w / beta
-        dim += 1
-
-    # each exit follows a Rayleigh-Ritz at the final dim (a restart needs a
-    # check first), and every exit, dim == n included, is judged by the true
-    # residuals
-    take = min(count, dim)
-    y = q_basis[:, :dim] @ svecs[:, :take]
-    resid = np.linalg.norm(s[:, None] * spmv(l, s[:, None] * y) - y * theta[:take], axis=0)
-    worst = float(np.max(resid / floor(theta)[:take]))
+            found = y
+        if missing != 0:
+            raise SolveError(f"{missing} eigenvalues below {theta[-1]:.6g} were not found",
+                             float("inf"))
+    resid = np.linalg.norm(ay - y * theta, axis=0)
+    worst = float(np.max(resid / np.maximum(np.abs(theta), 1e-3 * g)))
     if not worst <= tol:
-        raise SolveError(f"Lanczos did not converge with {dim} of at most {limit} "
-                         "basis vectors", worst)
+        raise SolveError("eigenpairs failed the residual check", worst)
     vectors = s[:, None] * y
     # fix signs: largest-magnitude entry positive (first index wins ties)
-    for j in range(take):
+    for j in range(count):
         i = int(np.argmax(np.abs(vectors[:, j])))
         if vectors[i, j] < 0:
             vectors[:, j] = -vectors[:, j]
-    return EigenPairs(values=theta[:take].copy(), vectors=vectors)
-
-
-def zero_eigenvalue_cutoff(l: SparseMatrix, m: np.ndarray) -> float:
-    """Threshold below which an eigenvalue counts as the zero mode."""
-    return 1e-8 * max(lambda_max_estimate(l, m), 1e-300)
+    return EigenPairs(values=theta, vectors=vectors)
 
 
 # -- MatrixMarket and plain-text vector IO -----------------------------------

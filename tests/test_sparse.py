@@ -199,6 +199,31 @@ class TestEig:
             resid = lu - lam * gt.mass * u
             assert np.linalg.norm(resid) < 1e-8 * max(np.linalg.norm(lu), 1e-6)
 
+    @pytest.mark.parametrize("count", [22, 40])
+    def test_three_sphere_copies_vs_dense(self, count):
+        # three disconnected copies: three zero modes and every eigenvalue
+        # threefold, at a size where the Krylov path runs (not the dense one)
+        gt = cotangent_laplacian(normalize_unit_box(make_shape("sphere", 162, seed=0)))
+        rows, cols, vals = gt.stiffness.to_coo()
+        n = gt.n
+        l = SparseMatrix.from_coo(3 * n, np.r_[rows, rows + n, rows + 2 * n],
+                                  np.r_[cols, cols + n, cols + 2 * n], np.r_[vals, vals, vals])
+        mass = np.tile(gt.mass, 3)
+        pairs = eig_smallest(l, mass, count)
+        w, _ = dense_generalized_eigs(l.to_dense(), mass)
+        assert np.abs(pairs.values - w[:count]).max() <= 1e-10 * w[-1]
+        for lam, u in zip(pairs.values, pairs.vectors.T):
+            lu = l @ u
+            resid = lu - lam * mass * u
+            assert np.linalg.norm(resid) < 1e-8 * max(np.linalg.norm(lu), 1e-6)
+
+    def test_indefinite_raises(self, sphere_mesh_162):
+        # L - 0.5 M has negative eigenvalues that the shift below zero cannot
+        # reach first; the inertia count must refuse the pairs it finds
+        gt = cotangent_laplacian(sphere_mesh_162)
+        with pytest.raises(SolveError):
+            eig_smallest(gt.stiffness.add_diagonal(-0.5 * gt.mass), gt.mass, 6)
+
     def test_unconverged_raises(self, sphere_mesh_162):
         gt = cotangent_laplacian(sphere_mesh_162)
         with pytest.raises(SolveError) as err:
