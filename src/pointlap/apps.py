@@ -14,7 +14,7 @@ from scipy.sparse.linalg import splu
 from .geometry import Mesh, PointCloud
 from .knn import KnnGraph
 from .laplacian import LaplacianPair
-from .sparse import SolveError, SparseMatrix, cg_solve, eig_smallest, lambda_max_estimate
+from .sparse import SolveError, cg_solve, eig_smallest, lambda_max_estimate
 
 
 def heat_diffuse(pair: LaplacianPair, u0: np.ndarray, dt: float = 1e-3,
@@ -216,12 +216,8 @@ def arap_deform(points, graph: KnnGraph, pair: LaplacianPair,
     rest = np.asarray(getattr(points, "points", points), dtype=np.float64)
     n = len(rest)
     ui, uj = graph.undirected_pairs()
-    rows, cols, vals = pair.stiffness.to_coo()
-    off = rows < cols
-    wmap = {}
-    for r, c, v in zip(rows[off], cols[off], vals[off]):
-        wmap[(int(r), int(c))] = -float(v)
-    w_und = np.array([wmap.get((int(a), int(b)), 0.0) for a, b in zip(ui, uj)])
+    l = pair.stiffness.csr
+    w_und = -l[ui, uj]
     src = np.r_[ui, uj]
     dst = np.r_[uj, ui]
     w_dir = np.r_[w_und, w_und]
@@ -232,19 +228,14 @@ def arap_deform(points, graph: KnnGraph, pair: LaplacianPair,
     free = np.ones(n, dtype=bool)
     free[cidx] = False
     fidx = np.flatnonzero(free)
-    pos_in_free = np.full(n, -1, dtype=np.int64)
-    pos_in_free[fidx] = np.arange(fidx.size)
-    mask_ff = free[rows] & free[cols]
-    l_ff = SparseMatrix.from_coo(fidx.size, pos_in_free[rows[mask_ff]],
-                                 pos_in_free[cols[mask_ff]], vals[mask_ff]).to_csc()
+    pinned = np.flatnonzero(~free)  # not cidx: a repeated index must count once
+    l_free_rows = l[fidx]
+    l_ff = l_free_rows[:, fidx].tocsc()
+    l_fc = l_free_rows[:, pinned]
     try:
         lu = splu(l_ff)  # every global step solves with the same matrix
     except RuntimeError as err:  # a free component that no constraint pins down
         raise SolveError("ARAP system is singular", float("inf")) from err
-    mask_fc = free[rows] & ~free[cols]
-    fc_rows = pos_in_free[rows[mask_fc]]
-    fc_cols = cols[mask_fc]
-    fc_vals = vals[mask_fc]
 
     current = rest.copy()
     current[cidx] = constraints.positions
@@ -253,11 +244,8 @@ def arap_deform(points, graph: KnnGraph, pair: LaplacianPair,
         # b_i = sum_j w_ij/2 (R_i + R_j)(p_i - p_j)
         r_sum = rot[src] + rot[dst]
         contrib = 0.5 * w_dir[:, None] * np.einsum("eab,eb->ea", r_sum, rest[src] - rest[dst])
-        rhs = np.empty((fidx.size, 3))
-        for a in range(3):
-            rhs[:, a] = (np.bincount(src, weights=contrib[:, a], minlength=n)[fidx]
-                         - np.bincount(fc_rows, weights=fc_vals * current[fc_cols, a],
-                                       minlength=fidx.size))
+        rhs = np.stack([np.bincount(src, weights=contrib[:, a], minlength=n)[fidx]
+                        for a in range(3)], axis=1) - l_fc @ current[pinned]
         x = lu.solve(rhs)
         resid = np.linalg.norm(l_ff @ x - rhs, axis=0)
         scale = np.linalg.norm(rhs, axis=0)

@@ -148,7 +148,7 @@ def generate_dataset(out_dir: str, num_shapes: int, seed: int,
 
 
 def load_dataset(dataset_dir: str, model_cfg=None, limit: int | None = None) -> list:
-    """Read shapes back into TrainingSamples; validates ground-truth row sums."""
+    """Read shapes back into TrainingSamples; validates ground-truth row sums and masses."""
     import numpy as np
 
     from .knn import build_knn
@@ -169,6 +169,9 @@ def load_dataset(dataset_dir: str, model_cfg=None, limit: int | None = None) -> 
         mesh = load_obj(os.path.join(shape_dir, "mesh.obj"))
         stiffness = load_matrix_market(os.path.join(shape_dir, "gt_L.mtx"))
         mass = load_vector(os.path.join(shape_dir, "gt_M.txt"))
+        if mass.shape != (stiffness.n,) or not np.all(np.isfinite(mass)) or np.any(mass <= 0):
+            raise ValueError(f"{entry['name']}: ground-truth masses must be {stiffness.n} "
+                             "finite positive values")
         row_sums = spmv(stiffness, np.ones(stiffness.n))
         scale = max(np.abs(stiffness.data).max(), 1e-300)
         if np.abs(row_sums).max() > 1e-9 * scale:
@@ -281,11 +284,6 @@ def _pair_for_sample(sample, source: str, model, heat_t: float | None):
     if source == "uniform":
         return uniform_laplacian(sample.graph)
     if source == "heat":
-        if heat_t is None:
-            import numpy as np
-            g = sample.graph
-            ui, uj = g.undirected_pairs()
-            heat_t = float(np.mean(np.sum((g.positions[ui] - g.positions[uj]) ** 2, axis=1)))
         return heat_kernel_laplacian(sample.graph, heat_t)
     if source == "cotangent":
         return sample.gt
@@ -372,10 +370,7 @@ def cmd_app(args) -> int:
         if args.operator == "uniform":
             pair = uniform_laplacian(graph)
         else:
-            ui, uj = graph.undirected_pairs()
-            t_param = args.heat_t or float(
-                np.mean(np.sum((points[ui] - points[uj]) ** 2, axis=1)))
-            pair = heat_kernel_laplacian(graph, t_param)
+            pair = heat_kernel_laplacian(graph, args.heat_t)
 
     os.makedirs(args.out, exist_ok=True)
     outputs = []

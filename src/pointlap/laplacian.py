@@ -39,10 +39,6 @@ class LaplacianPair:
         return float(self.stiffness.nnz_per_row().mean())
 
 
-def apply(pair: LaplacianPair, f: np.ndarray) -> np.ndarray:
-    return pair.apply(f)
-
-
 def _normalized_mass(masses: np.ndarray) -> np.ndarray:
     masses = np.asarray(masses, dtype=np.float64)
     if np.any(masses <= 0):
@@ -118,16 +114,19 @@ def uniform_laplacian(graph: KnnGraph) -> LaplacianPair:
     return LaplacianPair(stiffness, np.ones(graph.num_vertices), tag="uniform")
 
 
-def heat_kernel_laplacian(graph: KnnGraph, t: float) -> LaplacianPair:
+def heat_kernel_laplacian(graph: KnnGraph, t: float | None = None) -> LaplacianPair:
     """Gaussian edge weights exp(-|xi - xj|^2 / 4t) on the KNN graph.
 
     A triangulation-free simplification of the local-triangulation heat
     kernel construction; mass is the row sum of weights, mean-normalized.
+    The default t is the mean squared KNN edge length.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
     ei, ej = graph.undirected_pairs()
     d2 = np.sum((graph.positions[ei] - graph.positions[ej]) ** 2, axis=1)
+    if t is None:
+        t = float(np.mean(d2))
+    if t <= 0:
+        raise ValueError("t must be positive")
     w = np.exp(-d2 / (4.0 * t))
     stiffness = _assemble_symmetric(graph.num_vertices, ei, ej, w)
     mass = np.zeros(graph.num_vertices)

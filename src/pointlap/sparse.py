@@ -1,4 +1,10 @@
-"""Sparse symmetric matrices in CSR form, CG, and the smallest eigenpairs.
+"""Sparse symmetric matrices, CG, and the smallest eigenpairs.
+
+`SparseMatrix` owns the storage format: `from_coo` sorts triplets and sums
+duplicates into CSR arrays, and every kernel (products, diagonal, slices,
+dense copies) runs on scipy's CSR view of those same arrays. `cg_solve` is
+scipy's conjugate gradients with a Jacobi preconditioner, and it checks the
+true residual of whatever it returns.
 
 The generalized problem L x = lambda M x with diagonal positive M is reduced
 to an ordinary symmetric problem through the exact similarity transform
@@ -10,11 +16,12 @@ eigenvalues, and a check of every pair's true residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 from scipy.sparse import csc_array, csr_array, diags_array, eye_array
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, cg, eigsh, splu
 
 
 class SolveError(RuntimeError):
@@ -61,6 +68,11 @@ class SparseMatrix:
         idx = np.arange(n, dtype=np.int64)
         return SparseMatrix(n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
+    @cached_property
+    def csr(self) -> csr_array:
+        """scipy's view of the same arrays; the arrays are never written after construction."""
+        return csr_array((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+
     @property
     def nnz(self) -> int:
         return int(self.data.size)
@@ -69,27 +81,14 @@ class SparseMatrix:
         return np.diff(self.indptr)
 
     def diagonal(self) -> np.ndarray:
-        d = np.zeros(self.n)
-        for i in range(self.n):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            pos = np.searchsorted(self.indices[lo:hi], i)
-            if pos < hi - lo and self.indices[lo + pos] == i:
-                d[i] = self.data[lo + pos]
-        return d
+        return self.csr.diagonal()
 
     def to_coo(self):
         rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
         return rows, self.indices.copy(), self.data.copy()
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        rows, cols, vals = self.to_coo()
-        a[rows, cols] = vals
-        return a
-
-    def transpose(self) -> "SparseMatrix":
-        rows, cols, vals = self.to_coo()
-        return SparseMatrix.from_coo(self.n, cols, rows, vals)
+        return self.csr.toarray()
 
     def scaled(self, s: float) -> "SparseMatrix":
         return SparseMatrix(self.n, self.indptr, self.indices, self.data * float(s))
@@ -104,21 +103,8 @@ class SparseMatrix:
         )
 
     def max_asymmetry(self) -> float:
-        """max |A - A^T|, computed on the canonicalized triplet form."""
-        t = self.transpose()
-        if not np.array_equal(t.indptr, self.indptr) or not np.array_equal(t.indices, self.indices):
-            # sparsity patterns differ: compare densified difference
-            rows, cols, vals = self.to_coo()
-            rt, ct, vt = t.to_coo()
-            diff = SparseMatrix.from_coo(
-                self.n, np.r_[rows, rt], np.r_[cols, ct], np.r_[vals, -vt]
-            )
-            return float(np.abs(diff.data).max()) if diff.nnz else 0.0
-        return float(np.abs(self.data - t.data).max()) if self.nnz else 0.0
-
-    def to_csc(self) -> csc_array:
-        """The same matrix as a scipy ``csc_array``."""
-        return csr_array((self.data, self.indices, self.indptr), shape=(self.n, self.n)).tocsc()
+        """max |A - A^T|."""
+        return float(abs(self.csr - self.csr.T).max())
 
     def __matmul__(self, x):
         return spmv(self, x)
@@ -129,30 +115,25 @@ def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != a.n:
         raise ValueError(f"dimension mismatch: matrix is {a.n}, operand has {x.shape[0]} rows")
-    prod = a.data[:, None] * x[a.indices] if x.ndim == 2 else a.data * x[a.indices]
-    out = np.zeros((a.n,) + x.shape[1:])
-    counts = np.diff(a.indptr)
-    nonempty = counts > 0
-    if prod.shape[0]:
-        out[nonempty] = np.add.reduceat(prod, a.indptr[:-1][nonempty], axis=0)
-    return out
+    return a.csr @ x
 
 
 def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-10,
              max_iter: int | None = None, deflate_constant: bool = False) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients for SPD (or deflated PSD) A.
+    """Solve A x = b for SPD (or deflated PSD) A by scipy's conjugate gradients.
 
-    With ``deflate_constant`` the constant vector is projected out of b and
-    of every residual, which makes zero-row-sum Laplacian systems solvable
-    when b is (numerically) orthogonal to the kernel.
+    The preconditioner is Jacobi, diag(A)^-1 (rows with a zero diagonal are
+    left unscaled). With ``deflate_constant`` the constant vector is
+    projected out of b and of every product, which makes zero-row-sum
+    Laplacian systems solvable when b is (numerically) orthogonal to the
+    kernel. The true residual ||P(b - A x)|| of the result is checked against
+    ``tol * ||P b||`` whether or not CG reported convergence, and
+    `SolveError` is raised if it fails; at most ``max_iter`` (default 10 n)
+    iterations are run.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (a.n,):
         raise ValueError("right-hand side has wrong shape")
-    if max_iter is None:
-        max_iter = 10 * a.n
-    d = a.diagonal()
-    inv_d = np.where(np.abs(d) > 1e-300, 1.0 / np.where(d == 0, 1.0, d), 1.0)
 
     def project(v):
         return v - v.mean() if deflate_constant else v
@@ -161,26 +142,11 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-10,
     nb = np.linalg.norm(b)
     if nb == 0.0:
         return np.zeros(a.n)
-    x = np.zeros(a.n)
-    r = b.copy()
-    z = inv_d * r
-    p = z.copy()
-    rz = r @ z
-    for _ in range(max_iter):
-        ap = project(spmv(a, p))
-        denom = p @ ap
-        if denom <= 0:
-            break
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * ap
-        res = np.linalg.norm(r)
-        if res <= tol * nb:
-            return x
-        z = inv_d * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+    d = a.diagonal()
+    inv_d = np.where(np.abs(d) > 1e-300, 1.0 / np.where(d == 0, 1.0, d), 1.0)
+    op = LinearOperator((a.n, a.n), matvec=lambda v: project(spmv(a, v)), dtype=np.float64)
+    x, _ = cg(op, b, rtol=tol, atol=0.0, maxiter=10 * a.n if max_iter is None else max_iter,
+              M=diags_array(inv_d))
     res = np.linalg.norm(project(b - spmv(a, x)))
     if res <= tol * nb:
         return x
@@ -271,7 +237,7 @@ def eig_smallest(l: SparseMatrix, m: np.ndarray, count: int, seed: int = 0,
         raise ValueError("max_dim must exceed count")
     s = 1.0 / np.sqrt(m)
     d = diags_array(s)
-    a = (d @ l.to_csc() @ d).tocsc()
+    a = (d @ l.csr @ d).tocsc()
     g = max(float(abs(a).sum(axis=0).max()), 1e-300)
     ncv = min(n, max(2 * count + 1, 20) if max_dim is None else max_dim)
     if 6 * ncv > n:

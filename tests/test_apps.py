@@ -232,6 +232,21 @@ class TestArap:
         # constrained vertices are pinned exactly
         assert np.abs(out.points[fixed] - pts[fixed]).max() == 0.0
 
+    def test_repeated_fixed_index_counts_once(self, bar):
+        mesh, graph, pair = bar
+        pts = mesh.vertices
+        x = pts[:, 0]
+        fixed = np.flatnonzero(x < np.quantile(x, 0.1))
+        handle = np.flatnonzero(x > np.quantile(x, 0.9))
+        target = pts[handle] + np.array([0.2, 0.3, -0.1])
+        once = arap_deform(pts, graph, pair,
+                           DeformationConstraints(fixed, pts[fixed], handle, target), iters=3)
+        twice_idx = np.r_[fixed, fixed[::3]]
+        twice = arap_deform(pts, graph, pair,
+                            DeformationConstraints(twice_idx, pts[twice_idx], handle, target),
+                            iters=3)
+        assert np.array_equal(twice.points, once.points)
+
     def test_constraint_validation(self):
         with pytest.raises(ValueError):
             DeformationConstraints(np.zeros(0, dtype=int), np.zeros((0, 3)),

@@ -1,0 +1,47 @@
+"""The benchmark's tracer wraps pointlap functions by name; every name must exist."""
+import importlib
+import pkgutil
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import pointlap
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _bindings():
+    """Every attribute of every loaded pointlap module and of every traced class."""
+    owners = [m for name, m in sys.modules.items() if name.startswith("pointlap.")]
+    owners += [value for m in owners for value in vars(m).values() if isinstance(value, type)]
+    return {(id(owner), attr): value for owner in owners for attr, value in vars(owner).items()}
+
+
+def test_tracer_installs_and_restores(monkeypatch):
+    for info in pkgutil.iter_modules(pointlap.__path__):
+        importlib.import_module(f"pointlap.{info.name}")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    from pointlap import sparse
+
+    before = _bindings()
+    original_cg = sparse.cg_solve
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert sparse.cg_solve is not original_cg
+        idx = np.arange(10)
+        a = sparse.SparseMatrix.from_coo(10, np.r_[idx, idx[1:], idx[:-1]],
+                                         np.r_[idx, idx[:-1], idx[1:]],
+                                         np.r_[np.full(10, 3.0), -np.ones(18)])
+        sparse.cg_solve(a, np.arange(10.0))
+    finally:
+        tracer.uninstall()
+    # CG's products go through the module-level spmv, which the tracer counts:
+    # more than the one product of the final residual check
+    assert tracer.summary()["spmv_under"].get("sparse.cg_solve", 0) > 1
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

@@ -106,6 +106,20 @@ def test_load_validates_row_sums(dataset_dir, tmp_path):
         load_dataset(broken, ModelConfig())
 
 
+def test_load_validates_mass_length(dataset_dir, tmp_path):
+    import shutil
+
+    broken = str(tmp_path / "broken")
+    shutil.copytree(dataset_dir, broken)
+    with open(os.path.join(broken, "index.json")) as f:
+        name = json.load(f)["shapes"][0]["name"]
+    mass = os.path.join(broken, "shapes", name, "gt_M.txt")
+    lines = open(mass).read().splitlines()
+    open(mass, "w").write("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError):
+        load_dataset(broken, ModelConfig())
+
+
 def test_train_outputs(checkpoint_dir):
     run_dir = os.path.dirname(checkpoint_dir)
     log = open(os.path.join(run_dir, "log.csv")).read().splitlines()

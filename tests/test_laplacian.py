@@ -4,7 +4,7 @@ import pytest
 from helpers import dense_generalized_eigs
 from pointlap.geometry import GeometryError, Mesh, grid_plane, make_shape
 from pointlap.knn import build_knn
-from pointlap.laplacian import (LaplacianPair, apply, assemble_learned,
+from pointlap.laplacian import (LaplacianPair, assemble_learned,
                                 cotangent_laplacian, heat_kernel_laplacian,
                                 uniform_laplacian)
 
@@ -108,6 +108,15 @@ class TestHeatKernel:
         with pytest.raises(ValueError):
             heat_kernel_laplacian(blob_graph, t=0.0)
 
+    def test_default_t_is_mean_squared_edge_length(self, blob_graph):
+        ei, ej = blob_graph.undirected_pairs()
+        t = float(np.mean(np.sum((blob_graph.positions[ei] - blob_graph.positions[ej]) ** 2,
+                                 axis=1)))
+        default = heat_kernel_laplacian(blob_graph)
+        explicit = heat_kernel_laplacian(blob_graph, t=t)
+        assert np.array_equal(default.stiffness.data, explicit.stiffness.data)
+        assert np.array_equal(default.mass, explicit.mass)
+
     def test_mass_is_weight_row_sum_normalized(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.5, 0, 0]])
         g = build_knn(pts, k=1)
@@ -172,7 +181,7 @@ class TestApply:
         stiffness = SparseMatrix.from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1],
                                           [1.0, -1.0, -1.0, 1.0])
         pair = LaplacianPair(stiffness, np.ones(2), tag="uniform")
-        assert np.array_equal(apply(pair, np.array([1.0, 0.0])), [1.0, -1.0])
+        assert np.array_equal(pair.apply(np.array([1.0, 0.0])), [1.0, -1.0])
 
     def test_linear_function_harmonic_on_plane(self):
         mesh = grid_plane(40, 40)
