@@ -274,10 +274,6 @@ class ScatterPlan:
         return out
 
 
-def _rows_scatter(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    return ScatterPlan(idx, n).apply(g)
-
-
 def gather_rows(tape: Tape, x: Tensor, idx: np.ndarray,
                 scatter_plan: ScatterPlan | None = None) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
@@ -311,28 +307,18 @@ def scatter_sum(tape: Tape, messages: Tensor, targets: np.ndarray, n: int,
     return out
 
 
-def adjacency_sum(tape: Tape, x: Tensor, table: np.ndarray,
-                  table_t: np.ndarray | None = None) -> Tensor:
-    """Row i of the result is sum_s x[table[i, s]].
+def adjacency_sum(tape: Tape, x: Tensor, adj) -> Tensor:
+    """Row i of the result is sum_{j in N(i)} x[j], computed as adj @ x.
 
-    `table` is an (n, max_degree) index table padded with n (one past the
-    last row), which addresses an implicit zero row. The backward pass sums
-    with `table_t`, the table of the transposed adjacency; pass the same
-    table for symmetric neighborhoods.
+    `adj` is an (n, n) scipy CSR adjacency with unit weights and each row's
+    neighbors in ascending order, so every row is summed in that order. It
+    must be symmetric: the backward pass uses adj @ g for adj.T @ g.
     """
-    n = x.data.shape[0]
-    padded = np.concatenate([x.data, np.zeros((1,) + x.data.shape[1:])], axis=0)
-    out = Tensor(padded[table].sum(axis=1), requires_grad=x.requires_grad)
+    out = Tensor(adj @ x.data, requires_grad=x.requires_grad)
 
     def bwd():
-        g = out.grad
-        if g is None or not x.requires_grad:
-            return
-        tt = table if table_t is None else table_t
-        if tt.shape[0] != n:
-            raise ValueError("transpose table must have one row per input row")
-        gp = np.concatenate([g, np.zeros((1,) + g.shape[1:])], axis=0)
-        _accum(x, gp[tt].sum(axis=1))
+        if out.grad is not None and x.requires_grad:
+            _accum(x, adj @ out.grad)
 
     tape.record(bwd)
     return out
@@ -457,18 +443,19 @@ def save_checkpoint(path, params: dict, extra: dict | None = None) -> None:
     os.makedirs(path, exist_ok=True)
     entries = []
     offset = 0
-    blobs = []
-    for name in sorted(params):
-        p = params[name]
-        blob = np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-        entries.append({"name": name, "shape": list(p.data.shape),
-                        "offset": offset, "nbytes": len(blob), "step": p.step})
-        blobs.append(blob)
-        offset += len(blob)
-    manifest = {"format": 1, "params": entries, "extra": extra or {}}
-    with open(os.path.join(path, "params.bin"), "wb") as f:
-        for blob in blobs:
+    # both files are written aside and swapped in, so a save that fails part
+    # way leaves the previous checkpoint readable
+    tmp = os.path.join(path, "params.bin.tmp")
+    with open(tmp, "wb") as f:
+        for name in sorted(params):
+            p = params[name]
+            blob = np.ascontiguousarray(p.data, dtype="<f8").tobytes()
+            entries.append({"name": name, "shape": list(p.data.shape),
+                            "offset": offset, "nbytes": len(blob), "step": p.step})
             f.write(blob)
+            offset += len(blob)
+    os.replace(tmp, os.path.join(path, "params.bin"))
+    manifest = {"format": 1, "params": entries, "extra": extra or {}}
     tmp = os.path.join(path, "manifest.json.tmp")
     with open(tmp, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)

@@ -259,8 +259,14 @@ def cmd_predict(args) -> int:
     mesh = _load_cloud(args.cloud)
     if args.normalize:
         mesh = normalize_unit_box(mesh)
+    t_knn = time.perf_counter()
     graph = build_knn(mesh.vertices, k=model.config.k)
-    pair = model.predict_pair(graph, build_hierarchy(graph, model.config))
+    t_hier = time.perf_counter()
+    hier = build_hierarchy(graph, model.config)
+    t_fwd = time.perf_counter()
+    pair = model.predict_pair(graph, hier)
+    stage_s = {"knn": t_hier - t_knn, "hierarchy": t_fwd - t_hier,
+               "forward_assemble": time.perf_counter() - t_fwd}
     os.makedirs(args.out, exist_ok=True)
     l_path = os.path.join(args.out, "L.mtx")
     m_path = os.path.join(args.out, "M.txt")
@@ -269,7 +275,9 @@ def cmd_predict(args) -> int:
     sidecar = os.path.join(args.out, "pair.json")
     with open(sidecar, "w", encoding="utf-8") as f:
         json.dump({"tag": pair.tag, "n": pair.n, "k": model.config.k,
-                   "sparsity": pair.sparsity()}, f, indent=1, sort_keys=True)
+                   "sparsity": pair.sparsity(),
+                   "levels": [level.graph.num_vertices for level in hier.levels],
+                   "stage_s": stage_s}, f, indent=1, sort_keys=True)
     write_manifest(args.out, "predict", vars(args), args.seed,
                    [l_path, m_path, sidecar], time.perf_counter() - t0)
     print(f"predicted operator for {pair.n} points -> {args.out}")

@@ -1,94 +1,50 @@
 """Symmetrized K-nearest-neighbor graphs and voxel coarsening.
 
-Neighbor queries run on a bucketed k-d tree (exhaustive scan below 64
-points). Distance ties are broken by ascending point index so graphs are
-bit-reproducible. The voxel grid is anchored at the cloud's bounding-box
-minimum, which keeps coarsening covariant under translation.
+Neighbor candidates come from ``scipy.spatial.cKDTree``; their squared
+distances are then recomputed with one fixed formula and each row is
+ordered by (distance, index), so exact ties go to the smaller index and
+graphs are bit-reproducible. A row is final only once its candidate list
+reaches strictly past the k-th distance (or holds every point); otherwise
+it is queried again with twice the candidates, which keeps lattice ties
+and duplicated points exact. The voxel grid is anchored at the cloud's
+bounding-box minimum, which keeps coarsening covariant under translation.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import PointCloud
 
-_LEAF_SIZE = 24
+# candidates queried per point beyond k; rows with ties at the k-th distance widen
+_EXTRA = 9
+# a candidate list is complete once its farthest d2 exceeds the k-th by this factor
+_TIE_RTOL = 1e-9
 
 
-class _Node:
-    __slots__ = ("axis", "threshold", "left", "right", "idx")
-
-    def __init__(self, axis=-1, threshold=0.0, left=None, right=None, idx=None):
-        self.axis = axis
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.idx = idx
-
-
-class KdTree:
-    """Exact k-nearest-neighbor queries with (distance, index) ordering."""
-
-    def __init__(self, points: np.ndarray):
-        self.points = np.ascontiguousarray(points, dtype=np.float64)
-        self.root = self._build(np.arange(len(self.points), dtype=np.int64))
-
-    def _build(self, idx: np.ndarray) -> _Node:
-        if idx.size <= _LEAF_SIZE:
-            return _Node(idx=np.sort(idx))
-        pts = self.points[idx]
-        spans = pts.max(axis=0) - pts.min(axis=0)
-        axis = int(np.argmax(spans))
-        order = np.argsort(pts[:, axis], kind="stable")
-        half = idx.size // 2
-        left, right = idx[order[:half]], idx[order[half:]]
-        threshold = float(pts[order[half], axis])
-        return _Node(axis, threshold, self._build(left), self._build(right))
-
-    def query(self, q: np.ndarray, k: int, exclude: int = -1) -> np.ndarray:
-        """Indices of the k nearest points to q, ties broken by smaller index."""
-        # heap holds (-d2, -idx): the root is the current worst candidate
-        heap: list[tuple[float, int]] = []
-
-        def consider(ids):
-            d2 = np.sum((self.points[ids] - q) ** 2, axis=1)
-            for j in range(len(ids)):
-                i = int(ids[j])
-                if i == exclude:
-                    continue
-                cand = (-float(d2[j]), -i)
-                if len(heap) < k:
-                    heapq.heappush(heap, cand)
-                elif cand > heap[0]:
-                    heapq.heapreplace(heap, cand)
-
-        def visit(node: _Node):
-            if node.idx is not None:
-                consider(node.idx)
-                return
-            delta = q[node.axis] - node.threshold
-            near, far = (node.right, node.left) if delta >= 0 else (node.left, node.right)
-            visit(near)
-            if len(heap) < k or delta * delta <= -heap[0][0]:
-                visit(far)
-
-        visit(self.root)
-        out = sorted(((-d2, -i) for d2, i in heap))
-        return np.array([i for _, i in out], dtype=np.int64)
-
-
-def brute_force_neighbors(points: np.ndarray, k: int) -> np.ndarray:
-    """All-pairs scan; same (distance, index) ordering as the tree."""
-    n = len(points)
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(d2, np.inf)
+def nearest_neighbors(points: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) indices of each point's k nearest other points, by (d2, index)."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    tree = cKDTree(pts)
     out = np.empty((n, k), dtype=np.int64)
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, d2[i]))
-        out[i] = order[:k]
+    rows = np.arange(n, dtype=np.int64)
+    m = min(n, k + _EXTRA)
+    while rows.size:
+        idx = tree.query(pts[rows], m)[1]
+        d2 = np.sum((pts[idx] - pts[rows][:, None, :]) ** 2, axis=2)
+        d2[idx == rows[:, None]] = np.inf
+        order = np.lexsort((idx, d2), axis=-1)
+        idx = np.take_along_axis(idx, order, axis=1)
+        d2 = np.take_along_axis(d2, order, axis=1)
+        out[rows] = idx[:, :k]
+        if m == n:
+            break
+        farthest = np.where(np.isfinite(d2), d2, -np.inf).max(axis=1)
+        rows = rows[farthest <= d2[:, k - 1] * (1.0 + _TIE_RTOL)]
+        m = min(n, 2 * m)
     return out
 
 
@@ -138,19 +94,8 @@ def build_knn(points, k: int = 8) -> KnnGraph:
         raise ValueError(f"need at least {k + 1} points for k={k}, got {n}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite coordinates")
-    if n < 64:
-        nbrs = brute_force_neighbors(pts, k)
-    else:
-        tree = KdTree(pts)
-        nbrs = np.empty((n, k), dtype=np.int64)
-        for i in range(n):
-            nbrs[i] = tree.query(pts[i], k, exclude=i)
     src = np.repeat(np.arange(n, dtype=np.int64), k)
-    dst = nbrs.ravel()
-    pairs = np.unique(np.r_[np.stack([src, dst], axis=1), np.stack([dst, src], axis=1)], axis=0)
-    edge_src, edge_dst = pairs[:, 0], pairs[:, 1]
-    degree = np.bincount(edge_src, minlength=n).astype(np.int64)
-    return KnnGraph(pts, edge_src, edge_dst, degree, k=k)
+    return graph_from_edges(pts, src, nearest_neighbors(pts, k).ravel(), k=k)
 
 
 def graph_from_edges(positions: np.ndarray, src, dst, k: int = 0) -> KnnGraph:
@@ -160,10 +105,9 @@ def graph_from_edges(positions: np.ndarray, src, dst, k: int = 0) -> KnnGraph:
     dst = np.asarray(dst, dtype=np.int64)
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    pairs = np.unique(np.r_[np.stack([src, dst], axis=1), np.stack([dst, src], axis=1)], axis=0) \
-        if src.size else np.zeros((0, 2), dtype=np.int64)
-    edge_src = pairs[:, 0] if pairs.size else np.zeros(0, dtype=np.int64)
-    edge_dst = pairs[:, 1] if pairs.size else np.zeros(0, dtype=np.int64)
+    # one int64 key per directed edge; sorting it is sorting (src, dst) pairs
+    keys = np.unique(np.r_[src * n + dst, dst * n + src])
+    edge_src, edge_dst = keys // n, keys % n
     degree = np.bincount(edge_src, minlength=n).astype(np.int64)
     return KnnGraph(np.asarray(positions, dtype=np.float64), edge_src, edge_dst, degree, k=k)
 
@@ -194,9 +138,14 @@ def coarsen_by_voxel(graph: KnnGraph, voxel_size: float,
     if anchor is None:
         anchor = pos.min(axis=0)
     keys = np.floor((pos - anchor) / voxel_size).astype(np.int64)
-    uniq, mapping = np.unique(keys, axis=0, return_inverse=True)
-    mapping = mapping.astype(np.int64)
-    nc = len(uniq)
+    # lexicographic row order, as np.unique(keys, axis=0) gives, without
+    # packing the three keys into one integer (a tiny voxel would overflow it)
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    first = np.r_[True, np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)]
+    mapping = np.empty(len(keys), dtype=np.int64)
+    mapping[order] = np.cumsum(first) - 1
+    nc = int(first.sum())
     counts = np.bincount(mapping, minlength=nc).astype(np.int64)
     centroids = np.zeros((nc, 3))
     for a in range(3):

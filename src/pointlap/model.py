@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tape, Tensor
@@ -80,32 +81,22 @@ def edge_geometry(graph: KnnGraph) -> EdgeGeometry:
     return EdgeGeometry(vec, np.linalg.norm(vec, axis=1, keepdims=True))
 
 
-def neighbor_table(graph: KnnGraph) -> np.ndarray:
-    """(n, max_degree) neighbor index table padded with n (a zero row)."""
-    n = graph.num_vertices
-    md = int(graph.degree.max()) if n else 0
-    table = np.full((n, max(md, 1)), n, dtype=np.int64)
-    if graph.num_edges:
-        # edge list is sorted by source, so slots are offsets within each run
-        counts = graph.degree
-        starts = np.r_[0, np.cumsum(counts)[:-1]]
-        slots = np.arange(graph.num_edges) - np.repeat(starts, counts)
-        table[graph.edge_src, slots] = graph.edge_dst
-    return table
-
-
 class GraphLevel:
-    """One U-Net level: graph, edge geometry, and cached aggregation tables.
+    """One U-Net level: graph, edge geometry, and cached aggregation operands.
 
-    `geom_sum` holds per-vertex [sum_j v_ij, sum_j l_ij]; because the
-    message map is linear it can be applied after neighbor aggregation.
+    `adj` is the (n, n) CSR adjacency with unit weights, built straight from
+    the sorted edge list, so row i lists N(i) in ascending order; it is
+    symmetric because every `KnnGraph` is. `geom_sum` holds per-vertex
+    [sum_j v_ij, sum_j l_ij]; because the message map is linear it can be
+    applied after neighbor aggregation.
     """
 
     def __init__(self, graph: KnnGraph, geom: EdgeGeometry | None = None):
         self.graph = graph
         self.geom = geom or edge_geometry(graph)
         n = graph.num_vertices
-        self.table = neighbor_table(graph)
+        indptr = np.r_[0, np.cumsum(graph.degree)]
+        self.adj = csr_array((np.ones(graph.num_edges), graph.edge_dst, indptr), shape=(n, n))
         gsum = np.zeros((n, 4))
         src_plan = ad.ScatterPlan(graph.edge_src, n)
         gsum[:, :3] = src_plan.apply(self.geom.vec)
@@ -157,7 +148,7 @@ def graph_conv(tape: Tape, features: Tensor, graph: KnnGraph, geom: EdgeGeometry
     """
     if level is None:
         level = GraphLevel(graph, geom)
-    p_sum = ad.adjacency_sum(tape, features, level.table)
+    p_sum = ad.adjacency_sum(tape, features, level.adj)
     agg = ad.concat_linear(tape, [p_sum, Tensor(level.geom_sum)], w1)
     return ad.add(tape, ad.matmul(tape, features, w0), agg)
 

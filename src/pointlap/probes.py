@@ -183,9 +183,15 @@ def load_probes(path) -> ProbeSet:
             raise ValueError(f"{path}: not a probe file")
         (hlen,) = struct.unpack("<I", f.read(4))
         header = json.loads(f.read(hlen).decode("utf-8"))
-        data = np.frombuffer(f.read(), dtype="<f8")
+        payload = f.read()
     rows, cols = header["rows"], header["cols"]
-    values = data.reshape(rows, cols).astype(np.float64)
+    if len(payload) != rows * cols * 8:
+        raise ValueError(f"{path}: payload has {len(payload)} bytes, header says "
+                         f"{rows} x {cols} float64 ({rows * cols * 8} bytes)")
+    # no meta at all is a valid ProbeSet; a partial list is not
+    if header["meta"] and len(header["meta"]) != cols:
+        raise ValueError(f"{path}: {len(header['meta'])} probe meta entries for {cols} columns")
+    values = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
     meta = [ProbeMeta.from_dict(d) for d in header["meta"]]
     return ProbeSet(values, meta)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from helpers import op_gradcheck, rel_err
 from pointlap import autodiff as ad
@@ -82,8 +83,8 @@ class TestForwardValues:
 
     def test_adjacency_sum_values(self):
         x = Tensor(np.arange(6.0).reshape(3, 2))
-        table = np.array([[1, 2], [0, 3], [3, 3]])  # pad index 3 = zero row
-        out = ad.adjacency_sum(Tape(), x, table)
+        adj = csr_array((np.ones(3), [1, 2, 0], [0, 2, 3, 3]), shape=(3, 3))
+        out = ad.adjacency_sum(Tape(), x, adj)
         assert np.array_equal(out.data, [[6.0, 8.0], [0.0, 1.0], [0.0, 0.0]])
 
 
@@ -189,7 +190,8 @@ class TestGradChecks:
         self.run(make, 1, 5)
 
     def test_adjacency_and_concat_linear(self):
-        table = np.array([[1, 2, 5], [0, 2, 3], [0, 1, 5], [1, 4, 5], [3, 5, 5]])
+        adj = csr_array((np.ones(10), [1, 2, 0, 2, 3, 0, 1, 1, 4, 3], [0, 2, 5, 7, 9, 10]),
+                        shape=(5, 5))
 
         def make(rng):
             x = Parameter("x", rng.standard_normal((5, 3)))
@@ -198,7 +200,7 @@ class TestGradChecks:
             c = Tensor(rng.standard_normal((5, 4)))
 
             def build(tape):
-                s = ad.adjacency_sum(tape, x, table, table_t=table)
+                s = ad.adjacency_sum(tape, x, adj)
                 t = ad.concat_linear(tape, [s, geom], w)
                 return scalarize(tape, t, c)
 
@@ -329,6 +331,43 @@ class TestInitAndCheckpoints:
             assert np.array_equal(again[name].data, params[name].data)
         assert again["layer.w"].step == 17
 
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        names = ("a.w", "b.w", "c.w")
+        first = {n: Parameter(n, rng.standard_normal((4, 3))) for n in names}
+        save_checkpoint(tmp_path / "ck", first)
+
+        class FailingFile:
+            """Binary writer that raises on the second parameter's write."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, blob):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError("disk full")
+                return self.f.write(blob)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            return FailingFile(f) if mode == "wb" else f
+
+        monkeypatch.setattr(ad, "open", failing_open, raising=False)
+        second = {n: Parameter(n, rng.standard_normal((4, 3))) for n in names}
+        with pytest.raises(OSError):
+            save_checkpoint(tmp_path / "ck", second)
+        monkeypatch.undo()
+        again, _ = load_checkpoint(tmp_path / "ck")
+        for n in names:
+            assert np.array_equal(again[n].data, first[n].data)
 
 def test_scatter_plan_matches_naive():
     rng = np.random.default_rng(5)

@@ -146,6 +146,11 @@ def test_predict_round_trip(checkpoint_dir, dataset_dir, tmp_path):
     sidecar = json.load(open(os.path.join(out, "pair.json")))
     assert sidecar["tag"] == "learned"
     assert sidecar["n"] == stiffness.n
+    levels = sidecar["levels"]
+    assert levels[0] == sidecar["n"]
+    assert all(a >= b for a, b in zip(levels, levels[1:]))
+    assert set(sidecar["stage_s"]) == {"knn", "hierarchy", "forward_assemble"}
+    assert all(t >= 0 for t in sidecar["stage_s"].values())
 
 
 def test_eval_schema_and_total(dataset_dir, tiny_cfg_file, tmp_path):

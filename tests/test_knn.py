@@ -4,13 +4,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import brute_knn
-from pointlap.geometry import make_shape
-from pointlap.knn import (KnnGraph, build_knn, coarsen_by_voxel,
-                          graph_from_edges, pool_features, unpool_features)
+from pointlap.geometry import SHAPE_KINDS, make_shape
+from pointlap.knn import (KnnGraph, build_knn, coarsen_by_voxel, graph_from_edges,
+                          nearest_neighbors, pool_features, unpool_features)
 
 
 def edges_of(graph):
     return set(zip(graph.edge_src.tolist(), graph.edge_dst.tolist()))
+
+
+def brute_symmetrized(pts, k):
+    """Sorted (src, dst) rows of the symmetrized brute-force KNN relation."""
+    nb = brute_knn(pts, k)
+    src = np.repeat(np.arange(len(pts)), k)
+    return np.unique(np.r_[np.stack([src, nb.ravel()], 1), np.stack([nb.ravel(), src], 1)],
+                     axis=0)
+
+
+def integer_lattice(m):
+    return np.array([[x, y, z] for x in range(m) for y in range(m) for z in range(m)],
+                    dtype=np.float64)
 
 
 class TestBuildKnn:
@@ -27,17 +40,16 @@ class TestBuildKnn:
 
     def test_tie_break_by_index(self):
         # index 1 and index 2 are equidistant from 0; the smaller index wins
-        # in both the exhaustive and the tree query paths
-        from pointlap.knn import KdTree, brute_force_neighbors
+        from pointlap.knn import nearest_neighbors
 
         pts = np.array([[0.0, 0, 0], [-1, 0, 0], [1, 0, 0]])
-        assert brute_force_neighbors(pts, 1)[0].tolist() == [1]
+        assert nearest_neighbors(pts, 1)[0].tolist() == [1]
         grid = np.array([[x, y, z] for x in range(4) for y in range(4) for z in range(4)],
                         dtype=np.float64)
-        tree = KdTree(grid)
+        nbrs = nearest_neighbors(grid, 8)
         brute = brute_knn(grid, 8)
         for i in range(len(grid)):
-            assert tree.query(grid[i], 8, exclude=i).tolist() == brute[i].tolist()
+            assert nbrs[i].tolist() == brute[i].tolist()
 
     @pytest.mark.parametrize("n,k", [(50, 8), (200, 8), (120, 4)])
     def test_matches_brute_force(self, n, k):
@@ -48,6 +60,27 @@ class TestBuildKnn:
         src = np.repeat(np.arange(n), k)
         expected = np.unique(
             np.r_[np.stack([src, nb.ravel()], 1), np.stack([nb.ravel(), src], 1)], axis=0)
+        assert np.array_equal(expected[:, 0], g.edge_src)
+        assert np.array_equal(expected[:, 1], g.edge_dst)
+
+    def test_ties_beyond_first_query_widen(self):
+        # the centre of the lattice shell max|p| = 2 has 6 points at d2 = 4 and
+        # 24 tied at d2 = 5, more than the first k + 9 candidates hold; the
+        # shuffle puts the smallest tied indices anywhere in the tree
+        grid = integer_lattice(5) - 2.0
+        shell = np.r_[grid[np.abs(grid).max(axis=1) == 2], np.zeros((1, 3))]
+        pts = shell[np.random.default_rng(7).permutation(len(shell))]
+        assert np.array_equal(nearest_neighbors(pts, 8), brute_knn(pts, 8))
+
+    @pytest.mark.parametrize("cloud", [*SHAPE_KINDS, "lattice-with-duplicates"])
+    def test_structured_clouds_match_brute_force(self, cloud):
+        if cloud in SHAPE_KINDS:
+            pts = make_shape(cloud, 200, seed=4).vertices
+        else:
+            grid = integer_lattice(5)
+            pts = np.r_[grid, grid[::4], grid[::9]]
+        g = build_knn(pts, k=8)
+        expected = brute_symmetrized(pts, 8)
         assert np.array_equal(expected[:, 0], g.edge_src)
         assert np.array_equal(expected[:, 1], g.edge_dst)
 
@@ -171,6 +204,21 @@ class TestCoarsening:
             if a != b:
                 expected.add((int(a), int(b)))
         assert edges_of(level.coarse) == expected
+
+    @pytest.mark.parametrize("voxel_size,anchor", [(0.2, np.array([0.5, 0.4, 0.6])),
+                                                   (1e-7, None)])
+    def test_mapping_matches_unique_rows(self, voxel_size, anchor):
+        # an anchor inside the cloud gives negative keys; at 1e-7 on a unit
+        # cloud three keys packed into one int64 would overflow
+        pts = np.random.default_rng(6).random((300, 3))
+        g = build_knn(pts, k=4)
+        origin = pts.min(axis=0) if anchor is None else anchor
+        keys = np.floor((pts - origin) / voxel_size).astype(np.int64)
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        level = coarsen_by_voxel(g, voxel_size, anchor=anchor)
+        assert (keys < 0).any() == (anchor is not None)
+        assert level.num_coarse == len(uniq)
+        assert np.array_equal(level.mapping, inverse.ravel())
 
     def test_invalid_voxel_size(self):
         g = build_knn(np.random.default_rng(0).random((10, 3)), k=2)

@@ -3,7 +3,7 @@ import pytest
 
 from pointlap.geometry import make_shape, normalize_unit_box
 from pointlap.laplacian import cotangent_laplacian
-from pointlap.probes import (EVAL_PROBE_COUNT, SPATIAL_FREQUENCIES, ProbeSet,
+from pointlap.probes import (EVAL_PROBE_COUNT, SPATIAL_FREQUENCIES, ProbeMeta, ProbeSet,
                              eval_probe_set, load_probes, probes_to_csv,
                              save_probes, spatial_probes, spectral_probes)
 from pointlap.sparse import eig_smallest
@@ -153,6 +153,21 @@ class TestProbeIO:
         path = tmp_path / "x.probes"
         path.write_bytes(b"JUNKxxxx")
         with pytest.raises(ValueError):
+            load_probes(path)
+
+    def test_rejects_header_mismatch(self, tmp_path):
+        path = tmp_path / "p.probes"
+        probes = ProbeSet(np.arange(6.0).reshape(3, 2),
+                          [ProbeMeta("spectral", eigenvalue=0.0), ProbeMeta("spectral", 1.0)])
+        save_probes(path, probes)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8])
+        with pytest.raises(ValueError, match="p.probes"):
+            load_probes(path)
+        # one meta record for two columns
+        probes.meta = probes.meta[:1]
+        save_probes(path, probes)
+        with pytest.raises(ValueError, match="p.probes.*meta"):
             load_probes(path)
 
     def test_csv_export(self, tmp_path):
