@@ -4,6 +4,11 @@ A Tape collects backward closures in forward execution order, which is a
 topological order by construction; backward walks it once in reverse. Every
 op validates its output for non-finite values and raises immediately, so a
 diverging run fails at the op that produced the NaN.
+
+`NO_TAPE` runs the same ops forward only: it drops every backward closure as
+it is recorded, so an op's intermediates are freed as soon as the op's output
+is no longer referenced, and it refuses to backpropagate. Inference passes it
+in place of a `Tape`; the forward numbers are identical on either.
 """
 from __future__ import annotations
 
@@ -21,7 +26,13 @@ class NonFiniteError(FloatingPointError):
 
 
 def _validate(data: np.ndarray, op: str) -> None:
-    if check_finite and not np.all(np.isfinite(data)):
+    # a sum of finite values is finite unless it overflows, and a NaN or an
+    # inf makes it non-finite, so the element scan runs only when it is not
+    if not check_finite:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(data, axis=None)
+    if not np.isfinite(total) and not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite values produced by {op}")
 
 
@@ -81,6 +92,19 @@ class Tape:
         loss.grad = np.ones_like(loss.data)
         for fn in reversed(self.records):
             fn()
+
+
+class _NoTape:
+    """Forward-only stand-in for a Tape: keeps no backward closures."""
+
+    def record(self, fn) -> None:
+        pass
+
+    def backward(self, loss: Tensor) -> None:
+        raise RuntimeError("NO_TAPE records no ops and cannot backpropagate")
+
+
+NO_TAPE = _NoTape()
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -188,19 +212,18 @@ def relu(tape: Tape, x: Tensor) -> Tensor:
     return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def softplus(tape: Tape, x: Tensor) -> Tensor:
-    """log(1 + exp(x)) evaluated in the overflow-safe form."""
-    out = Tensor(np.logaddexp(0.0, x.data), requires_grad=x.requires_grad)
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow."""
+    e = np.abs(x.data)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = Tensor(np.maximum(x.data, 0.0) + np.log1p(e), requires_grad=x.requires_grad)
     _validate(out.data, "softplus")
 
     def bwd():
+        # the logistic sigmoid: 1 / (1 + e) for x >= 0, e / (1 + e) below
         if out.grad is not None and x.requires_grad:
-            _accum(x, out.grad * _sigmoid(x.data))
+            _accum(x, out.grad * (np.where(x.data >= 0, 1.0, e) / (1.0 + e)))
 
     tape.record(bwd)
     return out
@@ -214,10 +237,13 @@ def group_norm(tape: Tape, x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
         raise ValueError(f"{c} channels not divisible by {groups} groups")
     s = c // groups
     xg = x.data.reshape(n, groups, s)
-    mu = xg.mean(axis=2, keepdims=True)
-    var = xg.var(axis=2, keepdims=True)
+    # two passes, mean then centered squares: E[x^2] - E[x]^2 would cancel
+    mu = np.einsum("ngs->ng", xg)[:, :, None] / s
+    d = xg - mu
+    var = np.einsum("ngs,ngs->ng", d, d)[:, :, None] / s
     istd = 1.0 / np.sqrt(var + eps)
-    xhat = ((xg - mu) * istd).reshape(n, c)
+    d *= istd
+    xhat = d.reshape(n, c)
     out = Tensor(xhat * gamma.data + beta.data,
                  requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
     _validate(out.data, "group_norm")
@@ -233,8 +259,8 @@ def group_norm(tape: Tape, x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
         if x.requires_grad:
             dxh = (g * gamma.data).reshape(n, groups, s)
             xh = xhat.reshape(n, groups, s)
-            m1 = dxh.mean(axis=2, keepdims=True)
-            m2 = (dxh * xh).mean(axis=2, keepdims=True)
+            m1 = np.einsum("ngs->ng", dxh)[:, :, None] / s
+            m2 = np.einsum("ngs,ngs->ng", dxh, xh)[:, :, None] / s
             _accum(x, (istd * (dxh - m1 - xh * m2)).reshape(n, c))
 
     tape.record(bwd)

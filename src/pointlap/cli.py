@@ -43,14 +43,22 @@ def write_manifest(out_dir: str, command: str, args: dict, seed: int | None,
 
     `args` is the parsed namespace as a dict; only the options the parser
     declares are recorded, not the `fn` dispatch callback that
-    ``set_defaults`` adds.
+    ``set_defaults`` adds. The numpy, scipy and Python versions in effect are
+    recorded under "versions".
     """
+    import platform
+
+    import numpy
+    import scipy
+
     manifest = {
         "command": command,
         "args": {k: v for k, v in sorted(args.items()) if not callable(v)},
         "seed": seed,
         "config": config or {},
         "version": __version__,
+        "versions": {"numpy": numpy.__version__, "scipy": scipy.__version__,
+                     "python": platform.python_version()},
         "wall_time_s": wall_time,
         "outputs": sorted(str(p) for p in outputs),
     }
@@ -249,6 +257,7 @@ def _load_cloud(path):
 def cmd_predict(args) -> int:
     t0 = time.perf_counter()
     import numpy as np
+    from scipy.sparse.csgraph import connected_components
 
     from .geometry import normalize_unit_box
     from .knn import build_knn
@@ -267,6 +276,14 @@ def cmd_predict(args) -> int:
     pair = model.predict_pair(graph, hier)
     stage_s = {"knn": t_hier - t_knn, "hierarchy": t_fwd - t_hier,
                "forward_assemble": time.perf_counter() - t_fwd}
+    # operator health: each undirected edge is two off-diagonal entries, both
+    # zero when its predicted weight is, and dead edges can split the operator
+    rows, cols, vals = pair.stiffness.to_coo()
+    off = rows != cols
+    dead_fraction = float(np.mean(vals[off] == 0.0)) if off.any() else 0.0
+    alive = pair.stiffness.csr.copy()
+    alive.eliminate_zeros()
+    components = int(connected_components(alive, directed=False)[0])
     os.makedirs(args.out, exist_ok=True)
     l_path = os.path.join(args.out, "L.mtx")
     m_path = os.path.join(args.out, "M.txt")
@@ -276,6 +293,7 @@ def cmd_predict(args) -> int:
     with open(sidecar, "w", encoding="utf-8") as f:
         json.dump({"tag": pair.tag, "n": pair.n, "k": model.config.k,
                    "sparsity": pair.sparsity(),
+                   "dead_edge_fraction": dead_fraction, "components": components,
                    "levels": [level.graph.num_vertices for level in hier.levels],
                    "stage_s": stage_s}, f, indent=1, sort_keys=True)
     write_manifest(args.out, "predict", vars(args), args.seed,

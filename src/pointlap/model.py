@@ -242,7 +242,9 @@ class LaplacianNet:
         """Returns (edge weights (e_u, 1), masses (n, 1), features (n, f)).
 
         Edge weights follow ``graph.undirected_pairs()`` order; masses are
-        already normalized to mean one.
+        already normalized to mean one. `tape` is a `Tape` when the pass is
+        to be backpropagated, or ``ad.NO_TAPE`` for a forward-only pass that
+        frees each op's intermediates as it goes; both give the same numbers.
         """
         cfg = self.config
         p = self.params
@@ -281,7 +283,7 @@ class LaplacianNet:
     def predict_pair(self, graph: KnnGraph, hier: GraphHierarchy | None = None) -> LaplacianPair:
         if hier is None:
             hier = build_hierarchy(graph, self.config)
-        weights, masses, _ = self.forward(Tape(), hier)
+        weights, masses, _ = self.forward(ad.NO_TAPE, hier)
         return assemble_learned(graph, weights.data.ravel(), masses.data.ravel())
 
     def zero_grad(self) -> None:

@@ -377,3 +377,72 @@ def test_scatter_plan_matches_naive():
     naive = np.zeros((7, 3))
     np.add.at(naive, targets, g)
     assert np.abs(plan.apply(g) - naive).max() < 1e-12
+
+
+class TestSinglePassKernels:
+    """group_norm, softplus and the finite check against their plain formulas."""
+
+    @pytest.mark.parametrize("channels", [32, 64, 128])
+    def test_group_norm_matches_mean_var(self, channels):
+        rng = np.random.default_rng(channels)
+        groups, eps = 8, 1e-5
+        x = rng.standard_normal((50, channels)) * 3.0 + 1.0
+        gamma = Parameter("g", rng.standard_normal(channels))
+        beta = Parameter("b", rng.standard_normal(channels))
+        out = ad.group_norm(Tape(), Tensor(x), groups, gamma, beta, eps)
+        xg = x.reshape(50, groups, -1)
+        mu = xg.mean(axis=2, keepdims=True)
+        var = xg.var(axis=2, keepdims=True)
+        ref = ((xg - mu) / np.sqrt(var + eps)).reshape(50, channels) * gamma.data + beta.data
+        assert np.abs(out.data - ref).max() < 1e-14
+
+    @pytest.mark.parametrize("s", [8, 16])
+    def test_group_norm_gradcheck(self, s):
+        rng = np.random.default_rng(s)
+        x = Parameter("x", rng.standard_normal((4, 2 * s)))
+        g = Parameter("g", rng.standard_normal(2 * s) + 1.5)
+        b = Parameter("b", rng.standard_normal(2 * s))
+        c = Tensor(rng.standard_normal((4, 2 * s)))
+
+        def build(tape):
+            return scalarize(tape, ad.group_norm(tape, x, 2, g, b), c)
+
+        assert op_gradcheck(build, [x, g, b], rng, instances=20) < 1e-4
+
+    @staticmethod
+    def _softplus_inputs():
+        special = np.array([0.0, -0.0, 1e-300, -1e-300, 50.0, -50.0,
+                            745.0, -745.0, 800.0, -800.0])
+        draws = np.random.default_rng(11).standard_normal((3, 10**5))
+        draws *= np.array([[1.0], [3.0], [30.0]])
+        return np.concatenate([special, draws.ravel()])
+
+    def test_softplus_within_4_ulp_of_logaddexp(self):
+        x = self._softplus_inputs()
+        out = ad.softplus(Tape(), Tensor(x))
+        np.testing.assert_array_max_ulp(out.data, np.logaddexp(0.0, x), maxulp=4)
+
+    def test_softplus_gradient_is_the_sigmoid(self):
+        x = Parameter("x", self._softplus_inputs())
+        tape = Tape()
+        tape.backward(ad.sum_all(tape, ad.softplus(tape, x)))
+        e = np.exp(-np.abs(x.data))
+        sigmoid = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert x.grad.tobytes() == sigmoid.tobytes()
+
+    def test_validate_passes_finite_array_whose_sum_overflows(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ad._validate(np.array([1e308, 1e308]), "test")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validate_raises_on_non_finite(self, bad):
+        data = np.ones((3, 4))
+        data[1, 2] = bad
+        with pytest.raises(NonFiniteError):
+            ad._validate(data, "test")
+        data[0, 0] = -data[1, 2]
+        with pytest.raises(NonFiniteError):
+            ad._validate(data, "test")

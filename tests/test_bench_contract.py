@@ -1,6 +1,8 @@
-"""The benchmark's tracer wraps pointlap functions by name; every name must exist."""
+"""The benchmark's contract: the tracer's names exist, and a tiny run reports every metric."""
 import importlib
+import json
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,3 +47,19 @@ def test_tracer_installs_and_restores(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_tiny_infer_run():
+    """A tiny untraced infer run completes, passes its checks and reports every metric."""
+    root = PERFBENCH.parent
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "infer", "--seed", "7",
+         "--seconds", "1", "--size", "tiny", "--trace", "0"],
+        cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    with open(root / "BENCHMARK.json", encoding="utf-8") as f:
+        declared = [m["name"] for m in json.load(f)["end_to_end"]]
+    assert list(result["metrics"]) == declared

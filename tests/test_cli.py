@@ -82,6 +82,20 @@ def test_gen_manifest_records_declared_options(tiny_cfg_file, tmp_path):
     assert json.loads(json.dumps(args)) == args
 
 
+def test_manifest_records_software_versions(tiny_cfg_file, tmp_path):
+    import platform
+
+    import scipy
+
+    out = str(tmp_path / "ds")
+    assert main(["gen", "--out", out, "--seed", "5", "--threads", "1",
+                 "--config", tiny_cfg_file, "--num-shapes", "1"]) == 0
+    with open(os.path.join(out, "run_manifest.json")) as f:
+        versions = json.load(f)["versions"]
+    assert versions == {"numpy": np.__version__, "scipy": scipy.__version__,
+                        "python": platform.python_version()}
+
+
 def test_gen_rerun_identical_index(dataset_dir, tiny_cfg_file, tmp_path):
     out2 = str(tmp_path / "ds2")
     assert main(["gen", "--out", out2, "--seed", "3", "--config", tiny_cfg_file]) == 0
@@ -151,6 +165,8 @@ def test_predict_round_trip(checkpoint_dir, dataset_dir, tmp_path):
     assert all(a >= b for a, b in zip(levels, levels[1:]))
     assert set(sidecar["stage_s"]) == {"knn", "hierarchy", "forward_assemble"}
     assert all(t >= 0 for t in sidecar["stage_s"].values())
+    assert 0.0 <= sidecar["dead_edge_fraction"] <= 1.0
+    assert sidecar["components"] >= 1
 
 
 def test_eval_schema_and_total(dataset_dir, tiny_cfg_file, tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from pointlap import autodiff as ad
 from pointlap.autodiff import Parameter, Tape, Tensor
 from pointlap.geometry import make_shape, normalize_unit_box
 from pointlap.knn import KnnGraph, build_knn, graph_from_edges
+from pointlap.laplacian import assemble_learned
 from pointlap.model import (GraphLevel, LaplacianNet, ModelConfig,
                             build_hierarchy, edge_geometry, graph_conv,
                             input_signal, load_model, save_model)
@@ -180,6 +182,43 @@ class TestForward:
         hier = build_hierarchy(g, tiny_model_config)
         with pytest.raises(ValueError):
             tiny_net.forward(Tape(), hier)
+
+
+class TestForwardOnly:
+    """predict_pair runs the forward pass on NO_TAPE, which keeps no closures."""
+
+    def test_same_numbers_as_taped_forward(self, tiny_net, small_graph, tiny_model_config):
+        hier = build_hierarchy(small_graph, tiny_model_config)
+        pair = tiny_net.predict_pair(small_graph, hier)
+        weights, masses, _ = tiny_net.forward(Tape(), hier)
+        taped = assemble_learned(small_graph, weights.data, masses.data)
+        assert pair.stiffness.data.tobytes() == taped.stiffness.data.tobytes()
+        assert pair.mass.tobytes() == taped.mass.tobytes()
+
+    def test_peak_memory_below_taped_forward(self):
+        import tracemalloc
+
+        mesh = normalize_unit_box(make_shape("torus", 700, seed=3))
+        g = build_knn(mesh.vertices, k=8)
+        net = LaplacianNet(ModelConfig(), seed=0)
+        hier = build_hierarchy(g, net.config)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        taped = peak(lambda: net.forward(Tape(), hier))
+        forward_only = peak(lambda: net.predict_pair(g, hier))
+        assert forward_only < 0.35 * taped, (forward_only, taped)
+
+    def test_no_tape_refuses_backward(self):
+        x = Parameter("x", np.ones(3))
+        with pytest.raises(RuntimeError):
+            ad.NO_TAPE.backward(ad.sum_all(ad.NO_TAPE, x))
 
 
 class TestCheckpointing:
