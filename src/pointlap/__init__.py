@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 _SOURCES = {
     "geometry": ("Mesh", "PointCloud", "make_shape", "normalize_unit_box", "points_from_mesh"),
-    "knn": ("KnnGraph", "build_knn", "coarsen_by_voxel", "pool_features", "unpool_features"),
+    "knn": ("KnnGraph", "build_knn", "coarsen_by_voxel"),
     "laplacian": ("LaplacianPair", "assemble_learned", "cotangent_laplacian",
                   "heat_kernel_laplacian", "uniform_laplacian"),
     "model": ("LaplacianNet", "ModelConfig", "build_hierarchy"),

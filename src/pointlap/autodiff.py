@@ -17,6 +17,7 @@ import os
 import struct
 
 import numpy as np
+from scipy.sparse import csc_array
 
 check_finite = True
 
@@ -254,54 +255,40 @@ def group_norm(tape: Tape, x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
             return
         if beta.requires_grad:
             _accum(beta, g.sum(axis=0))
+        gx = g * xhat
         if gamma.requires_grad:
-            _accum(gamma, (g * xhat).sum(axis=0))
+            _accum(gamma, gx.sum(axis=0))
         if x.requires_grad:
-            dxh = (g * gamma.data).reshape(n, groups, s)
-            xh = xhat.reshape(n, groups, s)
-            m1 = np.einsum("ngs->ng", dxh)[:, :, None] / s
-            m2 = np.einsum("ngs,ngs->ng", dxh, xh)[:, :, None] / s
-            _accum(x, (istd * (dxh - m1 - xh * m2)).reshape(n, c))
+            # dx = istd (dxh - mean_s dxh - xhat mean_s(dxh xhat)), dxh = g gamma;
+            # dxh xhat is gx gamma, so g * xhat is formed once
+            gx *= gamma.data
+            dxh = g * gamma.data
+            d3 = dxh.reshape(n, groups, s)
+            m1 = np.einsum("ngs->ng", d3)[:, :, None] / s
+            m2 = np.einsum("ngs->ng", gx.reshape(n, groups, s))[:, :, None] / s
+            d3 -= m1
+            d3 -= xhat.reshape(n, groups, s) * m2
+            d3 *= istd
+            _accum(x, dxh)
 
     tape.record(bwd)
     return out
 
 
-class ScatterPlan:
-    """Precomputed grouping for repeated scatters with the same targets."""
+def _scatter_matrix(targets: np.ndarray, n: int) -> csc_array:
+    """(n, m) matrix with a one at (targets[k], k), for m = len(targets).
 
-    __slots__ = ("n", "targets", "order", "starts", "rows")
-
-    def __init__(self, targets: np.ndarray, n: int):
-        targets = np.asarray(targets, dtype=np.int64)
-        if targets.size and (targets.min() < 0 or targets.max() >= n):
-            raise IndexError("scatter target out of range")
-        self.n = n
-        self.targets = targets
-        if targets.size and np.any(targets[1:] < targets[:-1]):
-            self.order = np.argsort(targets, kind="stable")
-            sorted_targets = targets[self.order]
-        else:
-            self.order = None
-            sorted_targets = targets
-        if targets.size:
-            self.starts = np.flatnonzero(np.r_[True, sorted_targets[1:] != sorted_targets[:-1]])
-            self.rows = sorted_targets[self.starts]
-        else:
-            self.starts = np.zeros(0, dtype=np.int64)
-            self.rows = np.zeros(0, dtype=np.int64)
-
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n,) + g.shape[1:])
-        if self.targets.size == 0:
-            return out
-        gs = g if self.order is None else g[self.order]
-        out[self.rows] = np.add.reduceat(gs, self.starts, axis=0)
-        return out
+    Its product with an (m, c) array adds row k of the array into row
+    targets[k] of the (n, c) result, in ascending k.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.size and (targets.min() < 0 or targets.max() >= n):
+        raise IndexError("scatter target out of range")
+    m = targets.shape[0]
+    return csc_array((np.ones(m), targets, np.arange(m + 1)), shape=(n, m))
 
 
-def gather_rows(tape: Tape, x: Tensor, idx: np.ndarray,
-                scatter_plan: ScatterPlan | None = None) -> Tensor:
+def gather_rows(tape: Tape, x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
         raise IndexError("gather index out of range")
@@ -309,25 +296,23 @@ def gather_rows(tape: Tape, x: Tensor, idx: np.ndarray,
 
     def bwd():
         if out.grad is not None and x.requires_grad:
-            plan = scatter_plan or ScatterPlan(idx, x.data.shape[0])
-            _accum(x, plan.apply(out.grad))
+            _accum(x, _scatter_matrix(idx, x.data.shape[0]) @ out.grad)
 
     tape.record(bwd)
     return out
 
 
-def scatter_sum(tape: Tape, messages: Tensor, targets: np.ndarray, n: int,
-                plan: ScatterPlan | None = None) -> Tensor:
+def scatter_sum(tape: Tape, messages: Tensor, targets: np.ndarray, n: int) -> Tensor:
     """Row i of the result is the sum of messages whose target is i."""
-    if plan is None:
-        plan = ScatterPlan(targets, n)
-    if plan.targets.shape[0] != messages.data.shape[0]:
+    targets = np.asarray(targets, dtype=np.int64)
+    scatter = _scatter_matrix(targets, n)
+    if targets.shape[0] != messages.data.shape[0]:
         raise ValueError("one target per message required")
-    out = Tensor(plan.apply(messages.data), requires_grad=messages.requires_grad)
+    out = Tensor(scatter @ messages.data, requires_grad=messages.requires_grad)
 
     def bwd():
         if out.grad is not None and messages.requires_grad:
-            _accum(messages, out.grad[plan.targets])
+            _accum(messages, out.grad[targets])
 
     tape.record(bwd)
     return out

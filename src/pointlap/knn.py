@@ -11,7 +11,7 @@ bounding-box minimum, which keeps coarsening covariant under translation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -75,15 +75,6 @@ class KnnGraph:
         keep = self.edge_src < self.edge_dst
         return self.edge_src[keep], self.edge_dst[keep]
 
-    def mean_nnz_per_row(self) -> float:
-        """Mean nonzeros per Laplacian row: degree + the implicit self-loop."""
-        return float(self.degree.mean() + 1.0)
-
-    def save_edge_list(self, path) -> None:
-        with open(path, "w", encoding="ascii") as f:
-            for i, j in zip(self.edge_src, self.edge_dst):
-                f.write(f"{i} {j}\n")
-
 
 def build_knn(points, k: int = 8) -> KnnGraph:
     """Symmetrized KNN graph; requires at least k + 1 points."""
@@ -114,7 +105,6 @@ def graph_from_edges(positions: np.ndarray, src, dst, k: int = 0) -> KnnGraph:
 
 @dataclass
 class CoarseningLevel:
-    parent: KnnGraph = field(repr=False)
     mapping: np.ndarray          # fine vertex -> coarse vertex
     coarse: KnnGraph
     voxel_size: float
@@ -152,25 +142,4 @@ def coarsen_by_voxel(graph: KnnGraph, voxel_size: float,
         centroids[:, a] = np.bincount(mapping, weights=pos[:, a], minlength=nc)
     centroids /= counts[:, None]
     coarse = graph_from_edges(centroids, mapping[graph.edge_src], mapping[graph.edge_dst], k=graph.k)
-    return CoarseningLevel(graph, mapping, coarse, float(voxel_size), counts)
-
-
-def pool_features(level: CoarseningLevel, fine_features: np.ndarray) -> np.ndarray:
-    """Per-voxel mean of fine features."""
-    x = np.asarray(fine_features, dtype=np.float64)
-    if x.shape[0] != level.parent.num_vertices:
-        raise ValueError("feature rows must match fine vertex count")
-    flat = x.reshape(len(x), -1)
-    out = np.zeros((level.num_coarse, flat.shape[1]))
-    for c in range(flat.shape[1]):
-        out[:, c] = np.bincount(level.mapping, weights=flat[:, c], minlength=level.num_coarse)
-    out /= level.counts[:, None]
-    return out.reshape((level.num_coarse,) + x.shape[1:])
-
-
-def unpool_features(level: CoarseningLevel, coarse_features: np.ndarray) -> np.ndarray:
-    """Copy each coarse feature back to its fine vertices."""
-    x = np.asarray(coarse_features, dtype=np.float64)
-    if x.shape[0] != level.num_coarse:
-        raise ValueError("feature rows must match coarse vertex count")
-    return x[level.mapping]
+    return CoarseningLevel(mapping, coarse, float(voxel_size), counts)

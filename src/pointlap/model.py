@@ -2,8 +2,10 @@
 
 The network never sees absolute coordinates: the input signal is all-ones
 plus the neighbor count, and every graph convolution augments neighbor
-features with the relative offset and its length. Weights come from an MLP
-on the squared feature difference (symmetric by construction) behind a
+features with the relative offset and its length. Levels are joined by
+voxel pooling (the per-voxel mean, a scatter sum over the fine-to-coarse
+map) and unpooling (a row gather along the same map). Weights come from an
+MLP on the squared feature difference (symmetric by construction) behind a
 ReLU; masses from an MLP behind a Softplus, normalized to mean one.
 """
 from __future__ import annotations
@@ -64,51 +66,31 @@ class ModelConfig:
         return ModelConfig(**d)
 
 
-@dataclass(frozen=True)
-class EdgeGeometry:
-    """Per directed edge (i, j): vec = x_i - x_j and its length."""
-
-    vec: np.ndarray     # (e, 3)
-    length: np.ndarray  # (e, 1)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.concatenate([self.vec, self.length], axis=1)
-
-
-def edge_geometry(graph: KnnGraph) -> EdgeGeometry:
-    vec = graph.positions[graph.edge_src] - graph.positions[graph.edge_dst]
-    return EdgeGeometry(vec, np.linalg.norm(vec, axis=1, keepdims=True))
-
-
 class GraphLevel:
-    """One U-Net level: graph, edge geometry, and cached aggregation operands.
+    """One U-Net level: a graph and the aggregation operands of its convolutions.
 
     `adj` is the (n, n) CSR adjacency with unit weights, built straight from
     the sorted edge list, so row i lists N(i) in ascending order; it is
     symmetric because every `KnnGraph` is. `geom_sum` holds per-vertex
-    [sum_j v_ij, sum_j l_ij]; because the message map is linear it can be
-    applied after neighbor aggregation.
+    [sum_j v_ij, sum_j l_ij] for the edge vectors v_ij = x_i - x_j and their
+    lengths l_ij; because the message map is linear it can be applied after
+    neighbor aggregation.
     """
 
-    def __init__(self, graph: KnnGraph, geom: EdgeGeometry | None = None):
+    def __init__(self, graph: KnnGraph):
         self.graph = graph
-        self.geom = geom or edge_geometry(graph)
         n = graph.num_vertices
         indptr = np.r_[0, np.cumsum(graph.degree)]
         self.adj = csr_array((np.ones(graph.num_edges), graph.edge_dst, indptr), shape=(n, n))
-        gsum = np.zeros((n, 4))
-        src_plan = ad.ScatterPlan(graph.edge_src, n)
-        gsum[:, :3] = src_plan.apply(self.geom.vec)
-        gsum[:, 3:] = src_plan.apply(self.geom.length)
-        self.geom_sum = gsum
+        vec = graph.positions[graph.edge_src] - graph.positions[graph.edge_dst]
+        geom = np.concatenate([vec, np.linalg.norm(vec, axis=1, keepdims=True)], axis=1)
+        self.geom_sum = ad.scatter_sum(ad.NO_TAPE, Tensor(geom), graph.edge_src, n).data
 
 
 @dataclass
 class GraphHierarchy:
     levels: list[GraphLevel]          # fine to coarse, length 3
     pools: list[CoarseningLevel] = field(default_factory=list)  # length 2
-    pool_plans: list = field(default_factory=list)
 
     @property
     def graph(self) -> KnnGraph:
@@ -118,7 +100,6 @@ class GraphHierarchy:
 def build_hierarchy(graph: KnnGraph, config: ModelConfig) -> GraphHierarchy:
     levels = [GraphLevel(graph)]
     pools = []
-    pool_plans = []
     current = graph
     size = config.first_voxel_size
     for _ in range(2):
@@ -126,9 +107,8 @@ def build_hierarchy(graph: KnnGraph, config: ModelConfig) -> GraphHierarchy:
         current = pool.coarse
         levels.append(GraphLevel(current))
         pools.append(pool)
-        pool_plans.append(ad.ScatterPlan(pool.mapping, pool.num_coarse))
         size *= 2.0
-    return GraphHierarchy(levels, pools, pool_plans)
+    return GraphHierarchy(levels, pools)
 
 
 def input_signal(graph: KnnGraph, k: int) -> np.ndarray:
@@ -138,28 +118,24 @@ def input_signal(graph: KnnGraph, k: int) -> np.ndarray:
     return sig
 
 
-def graph_conv(tape: Tape, features: Tensor, graph: KnnGraph, geom: EdgeGeometry,
-               w0: Parameter, w1: Parameter, level: GraphLevel | None = None) -> Tensor:
+def graph_conv(tape: Tape, features: Tensor, level: GraphLevel,
+               w0: Parameter, w1: Parameter) -> Tensor:
     """p_i <- W0 p_i + sum_{j in N(i)} W1 [p_j || v_ij || l_ij] (self excluded).
 
     The per-edge map is linear, so W1 is applied after summing neighbor
-    features and edge geometry per vertex; this is algebraically identical
-    to transforming each concatenated message and summing.
+    features (`level.adj`) and edge geometry (`level.geom_sum`) per vertex;
+    this is algebraically identical to transforming each concatenated message
+    and summing.
     """
-    if level is None:
-        level = GraphLevel(graph, geom)
     p_sum = ad.adjacency_sum(tape, features, level.adj)
     agg = ad.concat_linear(tape, [p_sum, Tensor(level.geom_sum)], w1)
     return ad.add(tape, ad.matmul(tape, features, w0), agg)
 
 
-def _pool(tape: Tape, x: Tensor, level: CoarseningLevel, plan=None) -> Tensor:
-    total = ad.scatter_sum(tape, x, level.mapping, level.num_coarse, plan=plan)
+def _pool(tape: Tape, x: Tensor, level: CoarseningLevel) -> Tensor:
+    """Per-voxel mean of the fine rows of `x`: the hierarchy's one pooling path."""
+    total = ad.scatter_sum(tape, x, level.mapping, level.num_coarse)
     return ad.div(tape, total, Tensor(level.counts[:, None].astype(np.float64)))
-
-
-def _unpool(tape: Tape, x: Tensor, level: CoarseningLevel) -> Tensor:
-    return ad.gather_rows(tape, x, level.mapping)
 
 
 class LaplacianNet:
@@ -226,12 +202,10 @@ class LaplacianNet:
     def _resblock(self, tape, x, level: GraphLevel, prefix: str) -> Tensor:
         p = self.params
         groups = self.config.gn_groups
-        h = graph_conv(tape, x, level.graph, level.geom,
-                       p[f"{prefix}.conv1.w0"], p[f"{prefix}.conv1.w1"], level=level)
+        h = graph_conv(tape, x, level, p[f"{prefix}.conv1.w0"], p[f"{prefix}.conv1.w1"])
         h = ad.group_norm(tape, h, groups, p[f"{prefix}.gn1.g"], p[f"{prefix}.gn1.b"])
         h = ad.relu(tape, h)
-        h = graph_conv(tape, h, level.graph, level.geom,
-                       p[f"{prefix}.conv2.w0"], p[f"{prefix}.conv2.w1"], level=level)
+        h = graph_conv(tape, h, level, p[f"{prefix}.conv2.w0"], p[f"{prefix}.conv2.w1"])
         h = ad.group_norm(tape, h, groups, p[f"{prefix}.gn2.g"], p[f"{prefix}.gn2.b"])
         shortcut = x
         if f"{prefix}.proj.w" in p:
@@ -258,12 +232,11 @@ class LaplacianNet:
             for b in range(cfg.blocks[lvl]):
                 x = self._resblock(tape, x, hier.levels[lvl], f"enc{lvl}.block{b}")
             skips.append(x)
-            plan = hier.pool_plans[lvl] if hier.pool_plans else None
-            x = _pool(tape, x, hier.pools[lvl], plan=plan)
+            x = _pool(tape, x, hier.pools[lvl])
         for b in range(cfg.blocks[2]):
             x = self._resblock(tape, x, hier.levels[2], f"bott.block{b}")
         for lvl in (1, 0):
-            x = _unpool(tape, x, hier.pools[lvl])
+            x = ad.gather_rows(tape, x, hier.pools[lvl].mapping)
             x = ad.concat_cols(tape, [x, skips[lvl]])
             for b in range(cfg.blocks[lvl]):
                 x = self._resblock(tape, x, hier.levels[lvl], f"dec{lvl}.block{b}")

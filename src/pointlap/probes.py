@@ -194,10 +194,3 @@ def load_probes(path) -> ProbeSet:
     values = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
     meta = [ProbeMeta.from_dict(d) for d in header["meta"]]
     return ProbeSet(values, meta)
-
-
-def probes_to_csv(path, probes: ProbeSet) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write(",".join(f"probe_{i}" for i in range(probes.count)) + "\n")
-        for row in probes.values:
-            f.write(",".join(repr(float(x)) for x in row) + "\n")

@@ -4,9 +4,8 @@ from scipy.sparse import csr_array
 
 from helpers import op_gradcheck, rel_err
 from pointlap import autodiff as ad
-from pointlap.autodiff import (AdamW, NonFiniteError, Parameter, ScatterPlan,
-                               Tape, Tensor, adamw_step, kaiming_uniform,
-                               load_checkpoint, save_checkpoint)
+from pointlap.autodiff import (AdamW, NonFiniteError, Parameter, Tape, Tensor, adamw_step,
+                               kaiming_uniform, load_checkpoint, save_checkpoint)
 
 
 def scalarize(tape, t, const):
@@ -373,10 +372,26 @@ def test_scatter_plan_matches_naive():
     rng = np.random.default_rng(5)
     targets = rng.integers(0, 7, 40)
     g = rng.standard_normal((40, 3))
-    plan = ScatterPlan(targets, 7)
     naive = np.zeros((7, 3))
     np.add.at(naive, targets, g)
-    assert np.abs(plan.apply(g) - naive).max() < 1e-12
+    out = ad.scatter_sum(Tape(), Tensor(g), targets, 7)
+    assert np.abs(out.data - naive).max() < 1e-12
+
+
+@pytest.mark.parametrize("idx", [[5, 0, 5, 2, 2, 5, 0], [6, 6, 6], []],
+                         ids=["unsorted-repeated", "one-row", "empty"])
+def test_gather_rows_backward_matches_add_at(idx):
+    idx = np.array(idx, dtype=np.int64)
+    rng = np.random.default_rng(len(idx))
+    x = Parameter("x", rng.standard_normal((7, 3)))
+    upstream = rng.standard_normal((len(idx), 3))
+    tape = Tape()
+    out = ad.gather_rows(tape, x, idx)
+    tape.backward(ad.sum_all(tape, ad.mul(tape, out, Tensor(upstream))))
+    expected = np.zeros((7, 3))
+    np.add.at(expected, idx, upstream)
+    assert x.grad.shape == (7, 3)
+    assert np.abs(x.grad - expected).max() < 1e-12
 
 
 class TestSinglePassKernels:

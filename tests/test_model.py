@@ -6,9 +6,8 @@ from pointlap.autodiff import Parameter, Tape, Tensor
 from pointlap.geometry import make_shape, normalize_unit_box
 from pointlap.knn import KnnGraph, build_knn, graph_from_edges
 from pointlap.laplacian import assemble_learned
-from pointlap.model import (GraphLevel, LaplacianNet, ModelConfig,
-                            build_hierarchy, edge_geometry, graph_conv,
-                            input_signal, load_model, save_model)
+from pointlap.model import (GraphLevel, LaplacianNet, ModelConfig, build_hierarchy,
+                            graph_conv, input_signal, load_model, save_model)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +76,7 @@ class TestGraphConv:
         feats = np.random.default_rng(2).standard_normal((4, 3))
         w0 = Parameter("w0", np.random.default_rng(3).standard_normal((3, 5)))
         w1 = Parameter("w1", np.random.default_rng(4).standard_normal((7, 5)))
-        out = graph_conv(Tape(), Tensor(feats), g, edge_geometry(g), w0, w1)
+        out = graph_conv(Tape(), Tensor(feats), GraphLevel(g), w0, w1)
         assert np.abs(out.data[2] - feats[2] @ w0.data).max() < 1e-12
         assert np.abs(out.data[3] - feats[3] @ w0.data).max() < 1e-12
 
@@ -88,7 +87,7 @@ class TestGraphConv:
         feats = rng.standard_normal((7, 4))
         w0 = Parameter("w0", rng.standard_normal((4, 6)))
         w1 = Parameter("w1", rng.standard_normal((8, 6)))
-        out = graph_conv(Tape(), Tensor(feats), g, edge_geometry(g), w0, w1)
+        out = graph_conv(Tape(), Tensor(feats), GraphLevel(g), w0, w1)
         expected = feats @ w0.data
         for s, d in zip(g.edge_src, g.edge_dst):
             v = pts[s] - pts[d]
@@ -105,8 +104,8 @@ class TestGraphConv:
         feats = rng.standard_normal((15, 4))
         w0 = Parameter("w0", rng.standard_normal((4, 4)))
         w1 = Parameter("w1", rng.standard_normal((8, 4)))
-        a = graph_conv(Tape(), Tensor(feats), g1, edge_geometry(g1), w0, w1)
-        b = graph_conv(Tape(), Tensor(feats), g2, edge_geometry(g2), w0, w1)
+        a = graph_conv(Tape(), Tensor(feats), GraphLevel(g1), w0, w1)
+        b = graph_conv(Tape(), Tensor(feats), GraphLevel(g2), w0, w1)
         assert np.abs(a.data - b.data).max() < 1e-12
 
 

@@ -4,8 +4,8 @@ import pytest
 from pointlap.geometry import make_shape, normalize_unit_box
 from pointlap.laplacian import cotangent_laplacian
 from pointlap.probes import (EVAL_PROBE_COUNT, SPATIAL_FREQUENCIES, ProbeMeta, ProbeSet,
-                             eval_probe_set, load_probes, probes_to_csv,
-                             save_probes, spatial_probes, spectral_probes)
+                             eval_probe_set, load_probes, save_probes, spatial_probes,
+                             spectral_probes)
 from pointlap.sparse import eig_smallest
 
 
@@ -169,14 +169,6 @@ class TestProbeIO:
         save_probes(path, probes)
         with pytest.raises(ValueError, match="p.probes.*meta"):
             load_probes(path)
-
-    def test_csv_export(self, tmp_path):
-        probes = ProbeSet(np.arange(6.0).reshape(3, 2))
-        path = tmp_path / "p.csv"
-        probes_to_csv(path, probes)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "probe_0,probe_1"
-        assert len(lines) == 4
 
     def test_take_and_concatenate(self):
         a = ProbeSet(np.ones((4, 3)))
