@@ -47,7 +47,8 @@ def geodesic_heat(mesh: Mesh, pair: LaplacianPair, source: int) -> np.ndarray:
     The diffusion and Poisson solves use the supplied pair; gradient and
     divergence stay on the companion mesh. Since pair masses are normalized
     to mean one, the short diffusion time t = (mean edge length)^2 is
-    expressed in those units by dividing by the mean vertex area.
+    expressed in those units by dividing by the mean vertex area. A mesh
+    with no triangles, or with one of area <= 1e-14, raises `GeometryError`.
     """
     n = mesh.num_vertices
     if pair.n != n:
@@ -55,7 +56,7 @@ def geodesic_heat(mesh: Mesh, pair: LaplacianPair, source: int) -> np.ndarray:
     if not 0 <= source < n:
         raise ValueError("source index out of range")
     v, t = mesh.vertices, mesh.triangles
-    areas = mesh.triangle_areas()
+    areas = mesh.nondegenerate_triangle_areas()
     mean_vertex_area = float(areas.sum()) / n
     h = _mean_edge_length(mesh)
     t_heat = h * h / mean_vertex_area
@@ -77,22 +78,22 @@ def geodesic_heat(mesh: Mesh, pair: LaplacianPair, source: int) -> np.ndarray:
     norms = np.linalg.norm(grad, axis=1, keepdims=True)
     x_field = -grad / np.where(norms > 0, norms, 1.0)
 
-    # integrated divergence per vertex
-    div = np.zeros(n)
+    # integrated divergence per vertex: one scatter of the six corner terms
     cots = []
     for a, b in ((p1 - p0, p2 - p0), (p2 - p1, p0 - p1), (p0 - p2, p1 - p2)):
         cots.append(np.einsum("ij,ij->i", a, b) / np.linalg.norm(np.cross(a, b), axis=1))
     cot0, cot1, cot2 = cots  # cot of angle at corners 0, 1, 2
     opp_cot = {(0, 1): cot2, (1, 0): cot2, (1, 2): cot0, (2, 1): cot0, (0, 2): cot1, (2, 0): cot1}
     pts = (p0, p1, p2)
+    idx, contribs = [], []
     for ci in range(3):
-        idx = t[:, ci]
         for cj in range(3):
             if cj == ci:
                 continue
             e = pts[cj] - pts[ci]
-            contrib = 0.5 * opp_cot[(ci, cj)] * np.einsum("ij,ij->i", e, x_field)
-            np.add.at(div, idx, contrib)
+            idx.append(t[:, ci])
+            contribs.append(0.5 * opp_cot[(ci, cj)] * np.einsum("ij,ij->i", e, x_field))
+    div = np.bincount(np.concatenate(idx), weights=np.concatenate(contribs), minlength=n)
 
     phi = cg_solve(pair.stiffness, -div, deflate_constant=True)
     phi -= phi[source]

@@ -378,6 +378,9 @@ def cmd_app(args) -> int:
     if mesh is None:
         print("error: --mesh or --cloud is required", file=sys.stderr)
         return 2
+    if args.subcommand in ("heat", "geodesic") and not 0 <= args.source < mesh.num_vertices:
+        print(f"error: --source must lie in [0, {mesh.num_vertices})", file=sys.stderr)
+        return 2
     points = mesh.vertices
     graph = None
     model = None

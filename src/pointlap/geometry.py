@@ -41,11 +41,19 @@ class Mesh:
         return len(self.triangles)
 
     def undirected_edges(self) -> np.ndarray:
-        """Unique undirected edges (e, 2) with lower index first."""
+        """Unique undirected edges (e, 2) int64, lower index first.
+
+        Rows are in lexicographic (lo, hi) order, as `np.unique(..., axis=0)`
+        gives them: each edge is one key lo * n + hi, and the keys are sorted
+        and deduplicated (a sort is several times faster than `np.unique`'s
+        hashing here).
+        """
         t = self.triangles
-        e = np.r_[t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
+        a, b = t.ravel(), t[:, [1, 2, 0]].ravel()  # the three sides of each triangle
+        n = max(self.num_vertices, 1)
+        key = np.minimum(a, b) * n + np.maximum(a, b)
+        key.sort()
+        return np.column_stack(np.divmod(key[np.diff(key, prepend=-1) != 0], n))
 
     def euler_characteristic(self) -> int:
         return self.num_vertices - len(self.undirected_edges()) + self.num_triangles
@@ -55,6 +63,16 @@ class Mesh:
         return 0.5 * np.linalg.norm(
             np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1
         )
+
+    def nondegenerate_triangle_areas(self) -> np.ndarray:
+        """Triangle areas; GeometryError names a triangle of area <= 1e-14, or there are none."""
+        if self.num_triangles == 0:
+            raise GeometryError("mesh has no triangles")
+        areas = self.triangle_areas()
+        bad = np.flatnonzero(areas <= 1e-14)
+        if bad.size:
+            raise GeometryError(f"degenerate triangle {int(bad[0])} (area ~ 0)")
+        return areas
 
     def copy(self) -> "Mesh":
         return Mesh(self.vertices.copy(), self.triangles.copy())

@@ -63,13 +63,8 @@ def cotangent_laplacian(mesh: Mesh) -> LaplacianPair:
     """
     v = mesh.vertices
     t = mesh.triangles
-    if t.size == 0:
-        raise GeometryError("mesh has no triangles")
+    areas = mesh.nondegenerate_triangle_areas()
     p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    areas = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
-    bad = np.flatnonzero(areas <= 1e-14)
-    if bad.size:
-        raise GeometryError(f"degenerate triangle {int(bad[0])} (area ~ 0)")
 
     # cot at corner c = dot(u, v) / |u x v| for the two edges leaving c
     def cot_at(a, b, c):
@@ -98,10 +93,7 @@ def cotangent_laplacian(mesh: Mesh) -> LaplacianPair:
     a0 = np.where(obtuse, third, vor0)
     a1 = np.where(obtuse, third, vor1)
     a2 = np.where(obtuse, third, vor2)
-    mass = np.zeros(n)
-    np.add.at(mass, t[:, 0], a0)
-    np.add.at(mass, t[:, 1], a1)
-    np.add.at(mass, t[:, 2], a2)
+    mass = np.bincount(np.r_[t[:, 0], t[:, 1], t[:, 2]], weights=np.r_[a0, a1, a2], minlength=n)
     if np.any(mass <= 0):
         raise GeometryError("vertex with non-positive Voronoi area (unreferenced vertex?)")
     return LaplacianPair(stiffness, _normalized_mass(mass), tag="cotangent")
@@ -129,9 +121,7 @@ def heat_kernel_laplacian(graph: KnnGraph, t: float | None = None) -> LaplacianP
         raise ValueError("t must be positive")
     w = np.exp(-d2 / (4.0 * t))
     stiffness = _assemble_symmetric(graph.num_vertices, ei, ej, w)
-    mass = np.zeros(graph.num_vertices)
-    np.add.at(mass, ei, w)
-    np.add.at(mass, ej, w)
+    mass = np.bincount(np.r_[ei, ej], weights=np.r_[w, w], minlength=graph.num_vertices)
     return LaplacianPair(stiffness, _normalized_mass(mass), tag="heat-kernel")
 
 

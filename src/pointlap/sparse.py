@@ -94,13 +94,12 @@ class SparseMatrix:
         return SparseMatrix(self.n, self.indptr, self.indices, self.data * float(s))
 
     def add_diagonal(self, d) -> "SparseMatrix":
-        """Return self + diag(d) as a new matrix."""
+        """Return self + diag(d) as a new matrix; stored zeros stay stored."""
         d = np.broadcast_to(np.asarray(d, dtype=np.float64), (self.n,))
-        rows, cols, vals = self.to_coo()
-        idx = np.arange(self.n, dtype=np.int64)
-        return SparseMatrix.from_coo(
-            self.n, np.r_[rows, idx], np.r_[cols, idx], np.r_[vals, d]
-        )
+        c = self.csr.copy()
+        c.setdiag(c.diagonal() + d)
+        c.sort_indices()
+        return SparseMatrix(self.n, c.indptr.astype(np.int64), c.indices.astype(np.int64), c.data)
 
     def max_asymmetry(self) -> float:
         """max |A - A^T|."""
@@ -134,6 +133,8 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-10,
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (a.n,):
         raise ValueError("right-hand side has wrong shape")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side is not finite")
 
     def project(v):
         return v - v.mean() if deflate_constant else v

@@ -3,10 +3,11 @@ import pytest
 
 from pointlap.apps import (DeformationConstraints, arap_deform, geodesic_heat,
                            heat_diffuse, laplacian_smooth, spectral_filter)
-from pointlap.geometry import Mesh, grid_plane, icosphere, make_shape, normalize_unit_box
+from pointlap.geometry import (GeometryError, Mesh, grid_plane, icosphere, make_shape,
+                               normalize_unit_box)
 from pointlap.knn import build_knn
 from pointlap.laplacian import LaplacianPair, cotangent_laplacian, uniform_laplacian
-from pointlap.sparse import SparseMatrix
+from pointlap.sparse import SparseMatrix, cg_solve
 
 
 def two_vertex_pair():
@@ -74,7 +75,67 @@ def quadrant_grid(nx=32, ny=32):
     return Mesh(verts, np.asarray(tris))
 
 
+def geodesic_oracle(mesh, pair, source):
+    """The heat method built step by step: edges deduplicated as rows, the
+    system assembled from triplets, the divergence scattered one corner term
+    at a time with np.add.at."""
+    v, t = mesh.vertices, mesh.triangles
+    n = mesh.num_vertices
+    e = np.r_[t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]
+    e.sort(axis=1)
+    e = np.unique(e, axis=0)
+    h = float(np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1).mean())
+    t_heat = h * h / (float(mesh.triangle_areas().sum()) / n)
+    rows, cols, vals = pair.stiffness.scaled(t_heat).to_coo()
+    idx = np.arange(n)
+    system = SparseMatrix.from_coo(n, np.r_[rows, idx], np.r_[cols, idx], np.r_[vals, pair.mass])
+    delta = np.zeros(n)
+    delta[source] = 1.0
+    u = cg_solve(system, delta)
+    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    normal = np.cross(p1 - p0, p2 - p0)
+    two_area = np.linalg.norm(normal, axis=1, keepdims=True)
+    nrm = normal / two_area
+    grad = (u[t[:, 0], None] * np.cross(nrm, p2 - p1)
+            + u[t[:, 1], None] * np.cross(nrm, p0 - p2)
+            + u[t[:, 2], None] * np.cross(nrm, p1 - p0)) / two_area
+    norms = np.linalg.norm(grad, axis=1, keepdims=True)
+    x_field = -grad / np.where(norms > 0, norms, 1.0)
+    cot = [np.einsum("ij,ij->i", a, b) / np.linalg.norm(np.cross(a, b), axis=1)
+           for a, b in ((p1 - p0, p2 - p0), (p2 - p1, p0 - p1), (p0 - p2, p1 - p2))]
+    pts = (p0, p1, p2)
+    div = np.zeros(n)
+    for ci in range(3):
+        for cj in range(3):
+            if cj != ci:
+                opp = cot[3 - ci - cj]  # the corner opposite edge (ci, cj)
+                term = np.einsum("ij,ij->i", pts[cj] - pts[ci], x_field)
+                np.add.at(div, t[:, ci], 0.5 * opp * term)
+    phi = cg_solve(pair.stiffness, -div, deflate_constant=True)
+    phi -= phi[source]
+    if np.median(phi) < 0:
+        phi = -phi
+    return np.maximum(phi, 0.0)
+
+
 class TestGeodesic:
+    @pytest.mark.parametrize("mesh, source", [(quadrant_grid(16, 16), 40),
+                                              (icosphere(3), 7)], ids=["grid", "sphere"])
+    def test_matches_oracle_bitwise(self, mesh, source):
+        pair = cotangent_laplacian(mesh)
+        assert np.array_equal(geodesic_heat(mesh, pair, source),
+                              geodesic_oracle(mesh, pair, source))
+
+    def test_rejects_meshes_without_area(self):
+        mesh = grid_plane(4, 4)
+        pair = cotangent_laplacian(mesh)
+        with pytest.raises(GeometryError, match="no triangles"):
+            geodesic_heat(Mesh(mesh.vertices, np.zeros((0, 3))), pair, 0)
+        # vertices 0, 1 and 2 lie on one grid line
+        flat = Mesh(mesh.vertices, np.r_[mesh.triangles, [[0, 1, 2]]])
+        with pytest.raises(GeometryError, match=f"degenerate triangle {mesh.num_triangles}"):
+            geodesic_heat(flat, pair, 0)
+
     def test_source_zero_and_nonnegative(self, blob_pair):
         mesh, pair = blob_pair
         phi = geodesic_heat(mesh, pair, source=5)

@@ -261,6 +261,22 @@ def test_app_requires_geometry(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("subcommand", ["heat", "geodesic"])
+@pytest.mark.parametrize("source", [-1, 25 * 25])
+def test_app_source_out_of_range(tmp_path, capsys, subcommand, source):
+    from pointlap.geometry import grid_plane
+    from pointlap.meshio import save_obj
+
+    mesh_path = str(tmp_path / "plane.obj")
+    save_obj(mesh_path, grid_plane(24, 24))  # 625 vertices
+    out = str(tmp_path / "o")
+    rc = main(["app", subcommand, "--mesh", mesh_path, "--operator", "cotangent",
+               "--source", str(source), "--out", out])
+    assert rc == 2
+    assert "--source must lie in [0, 625)" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

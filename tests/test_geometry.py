@@ -116,3 +116,37 @@ class TestMeshBasics:
         mesh = grid_plane(4, 3)
         assert mesh.num_vertices == 5 * 4
         assert mesh.num_triangles == 4 * 3 * 2
+
+
+def unique_rows_oracle(mesh):
+    t = mesh.triangles
+    e = np.r_[t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]
+    e.sort(axis=1)
+    return np.unique(e, axis=0)
+
+
+class TestUndirectedEdges:
+    @pytest.mark.parametrize("mesh", [
+        icosphere(2),  # closed
+        grid_plane(5, 4),  # open, with boundary edges
+        Mesh(np.eye(4)[:, :3], [[0, 1, 2], [2, 1, 0], [1, 3, 2]]),  # a triangle in both orientations
+    ], ids=["icosphere", "plane", "repeated-triangle"])
+    def test_matches_unique_rows(self, mesh):
+        edges = mesh.undirected_edges()
+        assert edges.dtype == np.int64
+        assert np.array_equal(edges, unique_rows_oracle(mesh))
+
+    def test_empty(self):
+        edges = Mesh(np.zeros((3, 3)), np.zeros((0, 3))).undirected_edges()
+        assert edges.shape == (0, 2)
+        assert edges.dtype == np.int64
+
+    def test_nondegenerate_areas(self):
+        mesh = grid_plane(2, 2)
+        assert np.array_equal(mesh.nondegenerate_triangle_areas(), mesh.triangle_areas())
+        with pytest.raises(GeometryError, match="no triangles"):
+            Mesh(mesh.vertices, np.zeros((0, 3))).nondegenerate_triangle_areas()
+        flat = Mesh(np.r_[mesh.vertices, mesh.vertices[:1]],
+                    np.r_[mesh.triangles, [[0, 1, mesh.num_vertices]]])
+        with pytest.raises(GeometryError, match=f"degenerate triangle {mesh.num_triangles}"):
+            flat.nondegenerate_triangle_areas()

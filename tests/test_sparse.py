@@ -38,6 +38,24 @@ class TestCSR:
         b = a.scaled(2.0).add_diagonal(np.array([3.0, 4.0]))
         assert np.array_equal(b.to_dense(), [[3, 2], [2, 4]])
 
+    @pytest.mark.parametrize("d", [2.5, np.array([1.0, -2.0, 3.0, 0.5])],
+                             ids=["scalar", "vector"])
+    def test_add_diagonal_keeps_pattern(self, d):
+        # row 1 has no diagonal entry; (2, 3) is a stored zero that must stay stored
+        rows, cols = [0, 0, 1, 2, 2, 3, 3], [0, 1, 0, 2, 3, 2, 3]
+        vals = [4.0, -1.0, -1.0, 2.0, 0.0, 0.0, 1.0]
+        a = SparseMatrix.from_coo(4, rows, cols, vals)
+        b = a.add_diagonal(d)
+        assert np.array_equal(b.to_dense(), a.to_dense() + np.diag(np.broadcast_to(d, (4,))))
+        idx = np.arange(4)
+        old = SparseMatrix.from_coo(4, np.r_[rows, idx], np.r_[cols, idx],
+                                    np.r_[vals, np.broadcast_to(d, (4,))])
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(b, name), getattr(old, name))
+        assert b.indptr.dtype == b.indices.dtype == np.int64
+        assert all(np.all(np.diff(b.indices[b.indptr[i]:b.indptr[i + 1]]) > 0) for i in range(4))
+        assert np.array_equal(a.to_dense()[1], [-1.0, 0.0, 0.0, 0.0])  # a is unchanged
+
     def test_transpose_and_asymmetry(self):
         a = SparseMatrix.from_coo(2, [0], [1], [5.0])
         assert a.max_asymmetry() == 5.0
@@ -117,6 +135,15 @@ class TestCG:
         with pytest.raises(SolveError) as err:
             cg_solve(a, rng.standard_normal(25), tol=1e-14, max_iter=2)
         assert err.value.residual > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rhs_rejected(self, bad):
+        # rejected before any iteration: an iteration limit of 0 would
+        # otherwise end in SolveError
+        b = np.ones(3)
+        b[1] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            cg_solve(SparseMatrix.identity(3), b, max_iter=0)
 
 
 class TestEig:
