@@ -18,17 +18,15 @@ from .sparse import SolveError, cg_solve, eig_smallest, lambda_max_estimate
 
 
 def heat_diffuse(pair: LaplacianPair, u0: np.ndarray, dt: float = 1e-3,
-                 steps: int = 1000, check_stability: bool = True) -> np.ndarray:
-    """Explicit Euler heat flow u <- u - dt * M^-1 L u."""
+                 steps: int = 1000) -> np.ndarray:
+    """Explicit Euler heat flow u <- u - dt * M^-1 L u; warns when dt * lambda_max >= 2."""
     u = np.asarray(u0, dtype=np.float64).copy()
     if u.shape[0] != pair.n:
         raise ValueError("field length must match the operator")
-    if check_stability:
-        lam = lambda_max_estimate(pair.stiffness, pair.mass)
-        if dt * lam >= 2.0:
-            warnings.warn(
-                f"explicit Euler unstable: dt * lambda_max = {dt * lam:.3g} >= 2",
-                RuntimeWarning, stacklevel=2)
+    lam = lambda_max_estimate(pair.stiffness, pair.mass)
+    if dt * lam >= 2.0:
+        warnings.warn(f"explicit Euler unstable: dt * lambda_max = {dt * lam:.3g} >= 2",
+                      RuntimeWarning, stacklevel=2)
     for step in range(steps):
         u -= dt * pair.apply(u)
         if not np.all(np.isfinite(u)):
@@ -119,7 +117,7 @@ def spectral_filter(pair: LaplacianPair, signal: np.ndarray, gains,
                     n_modes: int, residual: str = "keep") -> np.ndarray:
     """Rescale the first `n_modes` eigen-coefficients of a signal.
 
-    `gains` is a scalar, a length-n_modes array, or a callable index -> gain.
+    `gains` is a scalar or a length-n_modes array.
     The part of the signal above the retained modes is kept verbatim
     (residual="keep") or dropped (residual="drop").
     """
@@ -131,10 +129,7 @@ def spectral_filter(pair: LaplacianPair, signal: np.ndarray, gains,
     flat = sig.reshape(pair.n, -1)
     pairs = eig_smallest(pair.stiffness, pair.mass, n_modes)
     basis = pairs.vectors
-    if callable(gains):
-        g = np.array([float(gains(i)) for i in range(n_modes)])
-    else:
-        g = np.broadcast_to(np.asarray(gains, dtype=np.float64), (n_modes,)).copy()
+    g = np.broadcast_to(np.asarray(gains, dtype=np.float64), (n_modes,))
     coeff = basis.T @ (pair.mass[:, None] * flat)
     out = basis @ (g[:, None] * coeff)
     if residual == "keep":

@@ -19,9 +19,6 @@ import struct
 import numpy as np
 from scipy.sparse import csc_array
 
-check_finite = True
-
-
 class NonFiniteError(FloatingPointError):
     pass
 
@@ -29,8 +26,6 @@ class NonFiniteError(FloatingPointError):
 def _validate(data: np.ndarray, op: str) -> None:
     # a sum of finite values is finite unless it overflows, and a NaN or an
     # inf makes it non-finite, so the element scan runs only when it is not
-    if not check_finite:
-        return
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.add.reduce(data, axis=None)
     if not np.isfinite(total) and not np.all(np.isfinite(data)):

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields, replace
 
 __version__ = "0.1.0"
 
@@ -70,22 +71,23 @@ def write_manifest(out_dir: str, command: str, args: dict, seed: int | None,
     return path
 
 
+def _from_section(cfg: configparser.ConfigParser, section: str, base):
+    """`base` with every field that INI `section` sets; `seed` comes only from --seed."""
+    if not cfg.has_section(section):
+        return base
+    sec = cfg[section]
+    values = {}
+    for f in fields(base):
+        if f.name in sec and f.name != "seed":
+            default = getattr(base, f.name)
+            values[f.name] = (_ints if isinstance(default, tuple) else type(default))(sec[f.name])
+    return replace(base, **values)
+
+
 def model_config_from_ini(cfg: configparser.ConfigParser, paper_scale: bool = False):
     from .model import ModelConfig
 
-    base = ModelConfig.paper_scale() if paper_scale else ModelConfig()
-    if not cfg.has_section("model"):
-        return base
-    sec = cfg["model"]
-    return ModelConfig(
-        enc_channels=_ints(sec.get("enc_channels", ",".join(map(str, base.enc_channels)))),
-        dec_channels=_ints(sec.get("dec_channels", ",".join(map(str, base.dec_channels)))),
-        blocks=_ints(sec.get("blocks", ",".join(map(str, base.blocks)))),
-        mlp_hidden=sec.getint("mlp_hidden", base.mlp_hidden),
-        k=sec.getint("k", base.k),
-        first_voxel_size=sec.getfloat("first_voxel_size", base.first_voxel_size),
-        gn_groups=sec.getint("gn_groups", base.gn_groups),
-    )
+    return _from_section(cfg, "model", ModelConfig.paper_scale() if paper_scale else ModelConfig())
 
 
 def train_config_from_ini(cfg: configparser.ConfigParser, seed: int,
@@ -95,20 +97,7 @@ def train_config_from_ini(cfg: configparser.ConfigParser, seed: int,
     base = TrainConfig(seed=seed)
     if paper_scale:
         base = TrainConfig(epochs=500, batch_size=8, spectral_count=64, seed=seed)
-    if not cfg.has_section("training"):
-        return base
-    sec = cfg["training"]
-    return type(base)(
-        epochs=sec.getint("epochs", base.epochs),
-        batch_size=sec.getint("batch_size", base.batch_size),
-        lr=sec.getfloat("lr", base.lr),
-        weight_decay=sec.getfloat("weight_decay", base.weight_decay),
-        mass_weight=sec.getfloat("mass_weight", base.mass_weight),
-        spectral_count=sec.getint("spectral_count", base.spectral_count),
-        holdout_fraction=sec.getfloat("holdout_fraction", base.holdout_fraction),
-        checkpoint_every=sec.getint("checkpoint_every", base.checkpoint_every),
-        seed=seed,
-    )
+    return _from_section(cfg, "training", base)
 
 
 # -- dataset ------------------------------------------------------------------
@@ -220,7 +209,6 @@ def cmd_train(args) -> int:
     model_cfg = model_config_from_ini(cfg, args.paper_scale)
     train_cfg = train_config_from_ini(cfg, args.seed, args.paper_scale)
     if args.epochs:
-        from dataclasses import replace
         train_cfg = replace(train_cfg, epochs=args.epochs)
     samples = load_dataset(args.dataset, model_cfg, limit=args.limit)
     os.makedirs(args.out, exist_ok=True)
@@ -247,13 +235,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_cloud(path):
-    from .meshio import load_mesh
-
-    mesh = load_mesh(path)
-    return mesh
-
-
 def cmd_predict(args) -> int:
     t0 = time.perf_counter()
     import numpy as np
@@ -261,11 +242,12 @@ def cmd_predict(args) -> int:
 
     from .geometry import normalize_unit_box
     from .knn import build_knn
+    from .meshio import load_mesh
     from .model import build_hierarchy, load_model
     from .sparse import save_matrix_market, save_vector
 
     model, _ = load_model(args.checkpoint)
-    mesh = _load_cloud(args.cloud)
+    mesh = load_mesh(args.cloud)
     if args.normalize:
         mesh = normalize_unit_box(mesh)
     t_knn = time.perf_counter()

@@ -96,9 +96,11 @@ def graph_from_edges(positions: np.ndarray, src, dst, k: int = 0) -> KnnGraph:
     dst = np.asarray(dst, dtype=np.int64)
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    # one int64 key per directed edge; sorting it is sorting (src, dst) pairs
-    keys = np.unique(np.r_[src * n + dst, dst * n + src])
-    edge_src, edge_dst = keys // n, keys % n
+    # one int64 key per directed edge; sorting it is sorting (src, dst) pairs,
+    # and a sort plus a diff dedups it several times faster than np.unique's hashing
+    keys = np.r_[src * n + dst, dst * n + src]
+    keys.sort()
+    edge_src, edge_dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     degree = np.bincount(edge_src, minlength=n).astype(np.int64)
     return KnnGraph(np.asarray(positions, dtype=np.float64), edge_src, edge_dst, degree, k=k)
 

@@ -36,7 +36,7 @@ class LaplacianPair:
         return out / (self.mass[:, None] if f.ndim == 2 else self.mass)
 
     def sparsity(self) -> float:
-        return float(self.stiffness.nnz_per_row().mean())
+        return self.stiffness.nnz / self.n
 
 
 def _normalized_mass(masses: np.ndarray) -> np.ndarray:

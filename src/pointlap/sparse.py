@@ -1,10 +1,10 @@
 """Sparse symmetric matrices, CG, and the smallest eigenpairs.
 
 `SparseMatrix` owns the storage format: `from_coo` sorts triplets and sums
-duplicates into CSR arrays, and every kernel (products, diagonal, slices,
-dense copies) runs on scipy's CSR view of those same arrays. `cg_solve` is
-scipy's conjugate gradients with a Jacobi preconditioner, and it checks the
-true residual of whatever it returns.
+duplicates into CSR arrays, and every kernel (products, dense copies) runs on
+scipy's CSR view of those same arrays. `cg_solve` is scipy's conjugate
+gradients with a Jacobi preconditioner, and it checks the true residual of
+whatever it returns. MatrixMarket files are read by `scipy.io`.
 
 The generalized problem L x = lambda M x with diagonal positive M is reduced
 to an ordinary symmetric problem through the exact similarity transform
@@ -43,7 +43,14 @@ class SparseMatrix:
 
     @staticmethod
     def from_coo(n, rows, cols, vals) -> "SparseMatrix":
-        """Build CSR from triplets; duplicate (i, j) entries are summed."""
+        """Build CSR from triplets; duplicate (i, j) entries are summed.
+
+        Duplicates are summed left to right in input order (a stable sort,
+        then `np.add.reduceat`), and that order is part of the contract:
+        scipy's own COO-to-CSR conversion sums in another order, and a one-ulp
+        change on the diagonal of a sphere or torus Laplacian rotates the
+        basis of a repeated eigenvalue, so the spectral probes change by O(1).
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -63,11 +70,6 @@ class SparseMatrix:
         np.cumsum(indptr, out=indptr)
         return SparseMatrix(n, indptr, cols, vals)
 
-    @staticmethod
-    def identity(n) -> "SparseMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return SparseMatrix(n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
     @cached_property
     def csr(self) -> csr_array:
         """scipy's view of the same arrays; the arrays are never written after construction."""
@@ -76,12 +78,6 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return int(self.data.size)
-
-    def nnz_per_row(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def diagonal(self) -> np.ndarray:
-        return self.csr.diagonal()
 
     def to_coo(self):
         rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
@@ -143,7 +139,7 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-10,
     nb = np.linalg.norm(b)
     if nb == 0.0:
         return np.zeros(a.n)
-    d = a.diagonal()
+    d = a.csr.diagonal()
     inv_d = np.where(np.abs(d) > 1e-300, 1.0 / np.where(d == 0, 1.0, d), 1.0)
     op = LinearOperator((a.n, a.n), matvec=lambda v: project(spmv(a, v)), dtype=np.float64)
     x, _ = cg(op, b, rtol=tol, atol=0.0, maxiter=10 * a.n if max_iter is None else max_iter,
@@ -289,45 +285,36 @@ def eig_smallest(l: SparseMatrix, m: np.ndarray, count: int, seed: int = 0,
 
 # -- MatrixMarket and plain-text vector IO -----------------------------------
 
-def save_matrix_market(path, a: SparseMatrix, symmetric: bool = True) -> None:
+def save_matrix_market(path, a: SparseMatrix) -> None:
+    """Write symmetric `a` as its lower triangle, each value in shortest round-trip form."""
     rows, cols, vals = a.to_coo()
-    if symmetric:
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    keep = rows >= cols
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
     with open(path, "w", encoding="ascii") as f:
-        kind = "symmetric" if symmetric else "general"
-        f.write(f"%%MatrixMarket matrix coordinate real {kind}\n")
+        f.write("%%MatrixMarket matrix coordinate real symmetric\n")
         f.write(f"{a.n} {a.n} {vals.size}\n")
         for i, j, v in zip(rows, cols, vals):
             f.write(f"{i + 1} {j + 1} {float(v)!r}\n")
 
 
 def load_matrix_market(path) -> SparseMatrix:
-    with open(path, "r", encoding="ascii") as f:
-        header = f.readline().strip().lower().split()
-        if len(header) < 5 or header[0] != "%%matrixmarket" or header[2] != "coordinate":
-            raise ValueError(f"{path}: not a coordinate MatrixMarket file")
-        symmetric = header[4] == "symmetric"
-        line = f.readline()
-        while line.startswith("%"):
-            line = f.readline()
-        nr, nc, nnz = (int(tok) for tok in line.split())
-        if nr != nc:
-            raise ValueError(f"{path}: expected a square matrix, got {nr} x {nc}")
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        for e in range(nnz):
-            i, j, v = f.readline().split()
-            rows[e], cols[e], vals[e] = int(i) - 1, int(j) - 1, float(v)
-    if symmetric:
-        off = rows != cols
-        rows, cols, vals = (
-            np.r_[rows, cols[off]],
-            np.r_[cols, rows[off]],
-            np.r_[vals, vals[off]],
-        )
-    return SparseMatrix.from_coo(nr, rows, cols, vals)
+    """Read a square coordinate MatrixMarket matrix with real or integer values.
+
+    A symmetric file's lower triangle is mirrored and duplicate entries are
+    summed, in `from_coo`'s order. Anything else, or a malformed file, raises
+    `ValueError` naming the path.
+    """
+    import scipy.io  # only dataset loading reads .mtx files; gen and predict skip the import
+
+    try:
+        n, cols, _, fmt, field, _ = scipy.io.mminfo(path)
+        if fmt != "coordinate" or field not in ("real", "integer") or n != cols:
+            raise ValueError(f"expected a square real coordinate matrix, got {fmt} {field} "
+                             f"{n} x {cols}")
+        coo = scipy.io.mmread(path).tocoo()
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+    return SparseMatrix.from_coo(n, coo.row, coo.col, coo.data)
 
 
 def save_vector(path, v: np.ndarray) -> None:

@@ -45,10 +45,6 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return TrainConfig(**d)
-
 
 @dataclass
 class TrainingSample:
@@ -181,8 +177,7 @@ def spatial_seed(seed: int, epoch: int, sample_index: int) -> np.random.SeedSequ
 
 
 def train(samples: list, model_cfg: ModelConfig | None = None,
-          cfg: TrainConfig | None = None, out_dir: str | None = None,
-          log_fn=None) -> TrainResult:
+          cfg: TrainConfig | None = None, out_dir: str | None = None) -> TrainResult:
     """AdamW on the probe-imitation loss with a linear LR decay to zero."""
     if not samples:
         raise ValueError("empty dataset")
@@ -242,8 +237,6 @@ def train(samples: list, model_cfg: ModelConfig | None = None,
             "holdout_mse": holdout_mse,
         }
         result.log.append(row)
-        if log_fn is not None:
-            log_fn(row)
         if out_dir and cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
             save_model(os.path.join(out_dir, f"checkpoint_{epoch + 1:04d}"), model,
                        extra={"epoch": epoch + 1, "train_config": cfg.to_dict()})

@@ -240,8 +240,8 @@ class TestSpectralFilter:
         mesh, pair = blob_pair
         sig = mesh.vertices[:, 0]
         arr = spectral_filter(pair, sig, np.full(10, 0.7), 10)
-        call = spectral_filter(pair, sig, lambda i: 0.7, 10)
-        assert np.abs(arr - call).max() < 1e-12
+        scalar = spectral_filter(pair, sig, 0.7, 10)
+        assert np.array_equal(arr, scalar)
 
     def test_validation(self, blob_pair):
         mesh, pair = blob_pair

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,12 +7,17 @@ from hypothesis import strategies as st
 
 from helpers import dense_generalized_eigs, rel_err
 from pointlap.geometry import icosphere, make_shape, normalize_unit_box
-from pointlap.laplacian import cotangent_laplacian, uniform_laplacian
+from pointlap.laplacian import assemble_learned, cotangent_laplacian, uniform_laplacian
 from pointlap.knn import build_knn
 from pointlap.sparse import (EigenPairs, SolveError, SparseMatrix, cg_solve,
                              eig_smallest, lambda_max_estimate,
                              load_matrix_market, load_vector,
                              save_matrix_market, save_vector, spmv)
+
+
+def eye(n):
+    idx = np.arange(n)
+    return SparseMatrix.from_coo(n, idx, idx, np.ones(n))
 
 
 def random_sparse(rng, n, density=0.2):
@@ -56,6 +63,30 @@ class TestCSR:
         assert all(np.all(np.diff(b.indices[b.indptr[i]:b.indptr[i + 1]]) > 0) for i in range(4))
         assert np.array_equal(a.to_dense()[1], [-1.0, 0.0, 0.0, 0.0])  # a is unchanged
 
+    @pytest.mark.parametrize("case", ["cotangent", "learned"])
+    def test_from_coo_sums_in_input_order(self, case, monkeypatch):
+        # the order of summation is pinned bit for bit: a stable sort by
+        # (row, col), then each run of duplicates summed left to right
+        seen = []
+        from_coo = SparseMatrix.from_coo
+        monkeypatch.setattr(SparseMatrix, "from_coo",
+                            staticmethod(lambda *t: seen.append(t) or from_coo(*t)))
+        if case == "cotangent":
+            a = cotangent_laplacian(icosphere(3)).stiffness
+        else:
+            rng = np.random.default_rng(5)
+            g = build_knn(rng.random((200, 3)), k=6)
+            w = rng.random(len(g.undirected_pairs()[0]))
+            w[::7] = 0.0
+            a = assemble_learned(g, w, np.ones(200)).stiffness
+        n, rows, cols, vals = seen[-1]
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])])
+        assert np.array_equal(a.indptr, np.searchsorted(rows[starts], np.arange(n + 1)))
+        assert np.array_equal(a.indices, cols[starts])
+        assert np.array_equal(a.data, np.add.reduceat(vals, starts))
+
     def test_transpose_and_asymmetry(self):
         a = SparseMatrix.from_coo(2, [0], [1], [5.0])
         assert a.max_asymmetry() == 5.0
@@ -64,10 +95,6 @@ class TestCSR:
 
 
 class TestSpmv:
-    def test_identity(self):
-        x = np.arange(4.0)
-        assert np.array_equal(SparseMatrix.identity(4) @ x, x)
-
     def test_row_sums(self):
         a = SparseMatrix.from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [2.0, -1.0, -1.0, 2.0])
         assert np.array_equal(a @ np.ones(2), [1.0, 1.0])
@@ -82,7 +109,7 @@ class TestSpmv:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            spmv(SparseMatrix.identity(3), np.ones(4))
+            spmv(eye(3), np.ones(4))
 
     @given(st.integers(0, 10_000))
     def test_linearity(self, seed):
@@ -102,7 +129,7 @@ class TestSpmv:
 class TestCG:
     def test_identity_one_step(self):
         b = np.array([1.0, -2.0, 3.0])
-        assert np.allclose(cg_solve(SparseMatrix.identity(3), b), b)
+        assert np.allclose(cg_solve(eye(3), b), b)
 
     def test_diagonal(self):
         a = SparseMatrix.from_coo(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 4.0])
@@ -143,7 +170,7 @@ class TestCG:
         b = np.ones(3)
         b[1] = bad
         with pytest.raises(ValueError, match="not finite"):
-            cg_solve(SparseMatrix.identity(3), b, max_iter=0)
+            cg_solve(eye(3), b, max_iter=0)
 
 
 class TestEig:
@@ -258,7 +285,7 @@ class TestEig:
         assert err.value.residual > 1e-10
 
     def test_count_validation(self):
-        l = SparseMatrix.identity(4)
+        l = eye(4)
         with pytest.raises(ValueError):
             eig_smallest(l, np.ones(4), 4)
         with pytest.raises(ValueError):
@@ -267,21 +294,33 @@ class TestEig:
 
 class TestIO:
     def test_matrix_market_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        g = build_knn(rng.random((25, 3)), k=4)
-        l = uniform_laplacian(g).stiffness
         path = tmp_path / "l.mtx"
-        save_matrix_market(path, l, symmetric=True)
-        again = load_matrix_market(path)
-        assert np.array_equal(again.to_dense(), l.to_dense())
-        header = path.read_text().splitlines()[0]
-        assert "symmetric" in header
+        for l in (cotangent_laplacian(icosphere(3)).stiffness,
+                  uniform_laplacian(build_knn(np.random.default_rng(4).random((25, 3)), k=4)).stiffness):
+            save_matrix_market(path, l)
+            assert path.read_text().splitlines()[0] == "%%MatrixMarket matrix coordinate real symmetric"
+            again = load_matrix_market(path)
+            assert again.n == l.n
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(again, name), getattr(l, name))
 
     def test_matrix_market_general(self, tmp_path):
-        a = SparseMatrix.from_coo(2, [0], [1], [3.5])
+        # written by hand: a general file whose duplicated (1, 2) entry is summed
         path = tmp_path / "g.mtx"
-        save_matrix_market(path, a, symmetric=False)
-        assert np.array_equal(load_matrix_market(path).to_dense(), a.to_dense())
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 3\n1 2 1.5\n2 1 -1\n1 2 2.25\n")
+        assert np.array_equal(load_matrix_market(path).to_dense(), [[0.0, 3.75], [-1.0, 0.0]])
+
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n",
+        "%%MatrixMarket matrix coordinate real general\n2 3 1\n1 3 2.5\n",
+        "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n",
+    ], ids=["array", "non-square", "pattern"])
+    def test_rejects_other_matrices(self, text, tmp_path):
+        path = tmp_path / "x.mtx"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_matrix_market(path)
 
     def test_vector_round_trip(self, tmp_path):
         v = np.array([1.0, -2.25, 3.5e-17])
@@ -292,5 +331,5 @@ class TestIO:
     def test_rejects_non_mm(self, tmp_path):
         path = tmp_path / "x.mtx"
         path.write_text("hello\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_matrix_market(path)
