@@ -313,18 +313,13 @@ def scatter_sum(tape: Tape, messages: Tensor, targets: np.ndarray, n: int) -> Te
     return out
 
 
-def adjacency_sum(tape: Tape, x: Tensor, adj) -> Tensor:
-    """Row i of the result is sum_{j in N(i)} x[j], computed as adj @ x.
-
-    `adj` is an (n, n) scipy CSR adjacency with unit weights and each row's
-    neighbors in ascending order, so every row is summed in that order. It
-    must be symmetric: the backward pass uses adj @ g for adj.T @ g.
-    """
-    out = Tensor(adj @ x.data, requires_grad=x.requires_grad)
+def adjacency_sum(tape: Tape, x: Tensor, a) -> Tensor:
+    """The sparse product a @ x for a scipy matrix `a`, with backward a.T @ g."""
+    out = Tensor(a @ x.data, requires_grad=x.requires_grad)
 
     def bwd():
         if out.grad is not None and x.requires_grad:
-            _accum(x, adj @ out.grad)
+            _accum(x, a.T @ out.grad)
 
     tape.record(bwd)
     return out

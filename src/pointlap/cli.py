@@ -363,6 +363,10 @@ def cmd_app(args) -> int:
     if args.subcommand in ("heat", "geodesic") and not 0 <= args.source < mesh.num_vertices:
         print(f"error: --source must lie in [0, {mesh.num_vertices})", file=sys.stderr)
         return 2
+    amplify = args.subcommand == "filter" and args.mode == "amplify"
+    if amplify and not 0 <= args.band_start < args.n_modes:
+        print(f"error: --band-start must lie in [0, {args.n_modes})", file=sys.stderr)
+        return 2
     points = mesh.vertices
     graph = None
     model = None
@@ -511,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.5)
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--n-modes", type=int, default=20)
-    p.add_argument("--band-start", type=int, default=20)
+    p.add_argument("--band-start", type=int, default=10)
     p.add_argument("--mode", choices=("lowpass", "highpass", "amplify", "allpass"),
                    default="lowpass")
     p.add_argument("--constraints", default=None, help="JSON constraint file for arap")

@@ -12,8 +12,10 @@ bounding-box minimum, which keeps coarsening covariant under translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
 from .geometry import PointCloud
@@ -74,6 +76,14 @@ class KnnGraph:
         """(i, j) arrays with i < j, one entry per undirected edge, sorted."""
         keep = self.edge_src < self.edge_dst
         return self.edge_src[keep], self.edge_dst[keep]
+
+    @cached_property
+    def incidence(self) -> csr_array:
+        """(e_u, n) signed incidence B over `undirected_pairs()`: (B f)_k = f_i - f_j for the
+        k-th pair (i, j), exact because row k stores its +1 at i before its -1 at j."""
+        ui, uj = self.undirected_pairs()
+        return csr_array((np.tile([1.0, -1.0], len(ui)), np.c_[ui, uj].ravel(),
+                          np.arange(0, 2 * len(ui) + 1, 2)), shape=(len(ui), self.num_vertices))
 
 
 def build_knn(points, k: int = 8) -> KnnGraph:

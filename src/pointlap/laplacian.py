@@ -41,8 +41,8 @@ class LaplacianPair:
 
 def _normalized_mass(masses: np.ndarray) -> np.ndarray:
     masses = np.asarray(masses, dtype=np.float64)
-    if np.any(masses <= 0):
-        raise ValueError("masses must be positive")
+    if not np.all((masses > 0) & (masses < np.inf)):  # NaN fails both
+        raise ValueError("masses must be positive and finite")
     return masses / masses.mean()
 
 
@@ -117,8 +117,8 @@ def heat_kernel_laplacian(graph: KnnGraph, t: float | None = None) -> LaplacianP
     d2 = np.sum((graph.positions[ei] - graph.positions[ej]) ** 2, axis=1)
     if t is None:
         t = float(np.mean(d2))
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < np.inf:
+        raise ValueError("t must be positive and finite")
     w = np.exp(-d2 / (4.0 * t))
     stiffness = _assemble_symmetric(graph.num_vertices, ei, ej, w)
     mass = np.bincount(np.r_[ei, ej], weights=np.r_[w, w], minlength=graph.num_vertices)
@@ -129,14 +129,14 @@ def assemble_learned(graph: KnnGraph, edge_weights: np.ndarray,
                      masses: np.ndarray) -> LaplacianPair:
     """Stiffness/mass pair from predicted weights, one per undirected edge.
 
-    Weight order must match ``graph.undirected_pairs()``.
+    Weight order must match the rows of ``graph.incidence`` (``undirected_pairs()``).
     """
     ei, ej = graph.undirected_pairs()
     w = np.asarray(edge_weights, dtype=np.float64).reshape(-1)
     if w.shape != ei.shape:
         raise ValueError(f"expected {len(ei)} edge weights, got {len(w)}")
-    if np.any(w < 0):
-        raise ValueError("negative edge weight")
+    if not np.all((w >= 0) & (w < np.inf)):
+        raise ValueError("edge weights must be nonnegative and finite")
     masses = np.asarray(masses, dtype=np.float64).reshape(-1)
     if masses.shape != (graph.num_vertices,):
         raise ValueError("one mass per vertex required")

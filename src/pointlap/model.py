@@ -70,11 +70,10 @@ class GraphLevel:
     """One U-Net level: a graph and the aggregation operands of its convolutions.
 
     `adj` is the (n, n) CSR adjacency with unit weights, built straight from
-    the sorted edge list, so row i lists N(i) in ascending order; it is
-    symmetric because every `KnnGraph` is. `geom_sum` holds per-vertex
-    [sum_j v_ij, sum_j l_ij] for the edge vectors v_ij = x_i - x_j and their
-    lengths l_ij; because the message map is linear it can be applied after
-    neighbor aggregation.
+    the sorted edge list, so row i sums N(i) in ascending order, and so does
+    adj.T @ g. `geom_sum` holds per-vertex [sum_j v_ij, sum_j l_ij] for the
+    edge vectors v_ij = x_i - x_j and their lengths l_ij; because the message
+    map is linear it can be applied after neighbor aggregation.
     """
 
     def __init__(self, graph: KnnGraph):
@@ -215,7 +214,7 @@ class LaplacianNet:
     def forward(self, tape: Tape, hier: GraphHierarchy):
         """Returns (edge weights (e_u, 1), masses (n, 1), features (n, f)).
 
-        Edge weights follow ``graph.undirected_pairs()`` order; masses are
+        Edge weights follow the rows of ``graph.incidence``; masses are
         already normalized to mean one. `tape` is a `Tape` when the pass is
         to be backpropagated, or ``ad.NO_TAPE`` for a forward-only pass that
         frees each op's intermediates as it goes; both give the same numbers.
@@ -242,8 +241,7 @@ class LaplacianNet:
                 x = self._resblock(tape, x, hier.levels[lvl], f"dec{lvl}.block{b}")
         feats = x
 
-        ui, uj = g0.undirected_pairs()
-        diff = ad.sub(tape, ad.gather_rows(tape, feats, ui), ad.gather_rows(tape, feats, uj))
+        diff = ad.adjacency_sum(tape, feats, g0.incidence)
         sq = ad.mul(tape, diff, diff)
         h = ad.softplus(tape, ad.linear(tape, sq, p["edge.fc1.w"], p["edge.fc1.b"]))
         weights = ad.relu(tape, ad.linear(tape, h, p["edge.fc2.w"], p["edge.fc2.b"]))

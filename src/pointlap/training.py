@@ -101,15 +101,12 @@ def laplacian_loss_on_tape(tape: Tape, weights: Tensor, masses: Tensor,
                            gt_applied: np.ndarray, w_probe: np.ndarray) -> Tensor:
     """Differentiable twin of :func:`loss_laplacian` for predicted (w, M).
 
-    (L f)_i = sum_j w_ij (f_i - f_j) accumulates one signed contribution per
-    undirected edge, which keeps the assembled action exactly symmetric.
+    `weights` follow the rows of ``graph.incidence`` B, and L f = B^T (w B f)
+    adds one signed contribution per undirected edge, so it is exactly symmetric.
     """
-    ui, uj = graph.undirected_pairs()
-    diff = probe_values[ui] - probe_values[uj]
-    contrib = ad.mul(tape, weights, Tensor(diff))
-    n = graph.num_vertices
-    lf = ad.sub(tape, ad.scatter_sum(tape, contrib, ui, n),
-                ad.scatter_sum(tape, contrib, uj, n))
+    b = graph.incidence
+    contrib = ad.mul(tape, weights, Tensor(b @ probe_values))
+    lf = ad.adjacency_sum(tape, contrib, b.T)
     delta = ad.div(tape, lf, masses)
     r = ad.sub(tape, delta, Tensor(gt_applied))
     weighted = ad.mul(tape, ad.mul(tape, r, r), Tensor(w_probe))

@@ -208,6 +208,25 @@ class TestGradChecks:
         # note: this table is intentionally symmetric as a vertex relation
         self.run(make, 2, 6)
 
+    def test_adjacency_sum_rectangular(self):
+        # a signed incidence B (3 edges, 4 vertices) and its transpose: the
+        # backward must multiply by the transpose of the forward operator
+        b = csr_array((np.tile([1.0, -1.0], 3), [0, 1, 0, 3, 2, 3], [0, 2, 4, 6]), shape=(3, 4))
+
+        def make(rng):
+            x = Parameter("x", rng.standard_normal((4, 2)))
+            w = Parameter("w", rng.random((3, 1)) + 0.5)
+            c = Tensor(rng.standard_normal((4, 2)))
+
+            def build(tape):
+                diff = ad.adjacency_sum(tape, x, b)
+                lx = ad.adjacency_sum(tape, ad.mul(tape, w, diff), b.T)
+                return scalarize(tape, lx, c)
+
+            return [x, w], build
+
+        self.run(make, 2, 9)
+
     def test_concat_cols_and_mean(self):
         def make(rng):
             a = Parameter("a", rng.standard_normal((4, 2)))

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pointlap
 
@@ -49,11 +50,12 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert all(after[key] is value for key, value in before.items())
 
 
-def test_tiny_infer_run():
-    """A tiny untraced infer run completes, passes its checks and reports every metric."""
+@pytest.mark.parametrize("workload", ["train", "infer"])
+def test_tiny_infer_run(workload):
+    """A tiny untraced run completes, passes its checks and reports every metric."""
     root = PERFBENCH.parent
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "infer", "--seed", "7",
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "7",
          "--seconds", "1", "--size", "tiny", "--trace", "0"],
         cwd=root, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

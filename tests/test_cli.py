@@ -231,6 +231,31 @@ def test_app_smooth_and_filter(dataset_dir, tmp_path):
     assert os.path.exists(os.path.join(out2, "filtered.ply"))
 
 
+def test_app_filter_amplify_defaults_change_the_cloud(dataset_dir, tmp_path):
+    from pointlap.meshio import load_mesh
+
+    with open(os.path.join(dataset_dir, "index.json")) as f:
+        name = json.load(f)["shapes"][0]["name"]
+    mesh_path = os.path.join(dataset_dir, "shapes", name, "mesh.obj")
+    out = str(tmp_path / "amp")
+    assert main(["app", "filter", "--mesh", mesh_path, "--operator", "uniform",
+                 "--mode", "amplify", "--out", out]) == 0
+    before = load_mesh(mesh_path).vertices
+    after = load_mesh(os.path.join(out, "filtered.ply")).vertices
+    assert np.abs(after - before).max() > 1e-6
+
+
+@pytest.mark.parametrize("band_start", ["20", "-1"])
+def test_app_filter_band_start_out_of_range(dataset_dir, tmp_path, band_start):
+    with open(os.path.join(dataset_dir, "index.json")) as f:
+        name = json.load(f)["shapes"][0]["name"]
+    mesh_path = os.path.join(dataset_dir, "shapes", name, "mesh.obj")
+    out = str(tmp_path / "amp")
+    assert main(["app", "filter", "--mesh", mesh_path, "--mode", "amplify",
+                 "--n-modes", "20", f"--band-start={band_start}", "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
 def test_app_arap(dataset_dir, tmp_path):
     with open(os.path.join(dataset_dir, "index.json")) as f:
         name = json.load(f)["shapes"][0]["name"]

@@ -122,6 +122,15 @@ class TestBuildKnn:
         assert np.array_equal(a.edge_src, b.edge_src)
         assert np.array_equal(a.edge_dst, b.edge_dst)
 
+    def test_incidence_is_exact_edge_difference(self):
+        g = build_knn(make_shape("blended-blob", 642, seed=6).vertices, k=8)
+        ui, uj = g.undirected_pairs()
+        f = np.random.default_rng(2).standard_normal((g.num_vertices, 3))
+        assert g.incidence.shape == (len(ui), g.num_vertices)
+        assert np.array_equal(g.incidence @ f, f[ui] - f[uj])
+        assert np.array_equal(g.incidence @ f[:, 0], f[ui, 0] - f[uj, 0])
+        assert g.incidence is g.incidence
+
 
 class TestCoarsening:
     def test_single_voxel(self):

@@ -108,6 +108,10 @@ class TestHeatKernel:
         with pytest.raises(ValueError):
             heat_kernel_laplacian(blob_graph, t=0.0)
 
+    def test_nan_t_rejected(self, blob_graph):
+        with pytest.raises(ValueError, match="finite"):
+            heat_kernel_laplacian(blob_graph, t=float("nan"))
+
     def test_default_t_is_mean_squared_edge_length(self, blob_graph):
         ei, ej = blob_graph.undirected_pairs()
         t = float(np.mean(np.sum((blob_graph.positions[ei] - blob_graph.positions[ej]) ** 2,
@@ -157,6 +161,27 @@ class TestAssembleLearned:
                                 np.ones(blob_graph.num_vertices))
         assert np.array_equal(np.diff(pair.stiffness.indptr), blob_graph.degree + 1)
         assert 9.0 <= pair.sparsity() <= 11.0
+
+    def test_incidence_product_is_the_stiffness(self, blob_graph):
+        # B^T diag(w) B, densely, pins the sign convention L_ij = -w_ij
+        rng = np.random.default_rng(5)
+        b = blob_graph.incidence.toarray()
+        w = rng.random(b.shape[0])
+        pair = assemble_learned(blob_graph, w, rng.random(blob_graph.num_vertices) + 0.5)
+        dense = pair.stiffness.to_dense()
+        assert np.abs(b.T @ (w[:, None] * b) - dense).max() <= 1e-15 * np.abs(dense).max()
+
+    def test_nan_weight_rejected(self, blob_graph):
+        w = np.ones(len(blob_graph.undirected_pairs()[0]))
+        w[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            assemble_learned(blob_graph, w, np.ones(blob_graph.num_vertices))
+
+    def test_nan_mass_rejected(self, blob_graph):
+        m = np.ones(blob_graph.num_vertices)
+        m[7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            assemble_learned(blob_graph, np.ones(len(blob_graph.undirected_pairs()[0])), m)
 
     def test_validation(self, blob_graph):
         ei, _ = blob_graph.undirected_pairs()
