@@ -14,15 +14,22 @@ from scipy.sparse.linalg import splu
 from .geometry import Mesh, PointCloud
 from .knn import KnnGraph
 from .laplacian import LaplacianPair
-from .sparse import SolveError, cg_solve, eig_smallest, lambda_max_estimate
+from .sparse import SolveError, _gemm, cg_solve, eig_smallest, lambda_max_estimate
 
 
 def heat_diffuse(pair: LaplacianPair, u0: np.ndarray, dt: float = 1e-3,
                  steps: int = 1000) -> np.ndarray:
-    """Explicit Euler heat flow u <- u - dt * M^-1 L u; warns when dt * lambda_max >= 2."""
+    """Explicit Euler heat flow u <- u - dt * M^-1 L u; warns when dt * lambda_max >= 2.
+
+    `dt` must be finite and positive and `steps` non-negative.
+    """
     u = np.asarray(u0, dtype=np.float64).copy()
     if u.shape[0] != pair.n:
         raise ValueError("field length must match the operator")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     lam = lambda_max_estimate(pair.stiffness, pair.mass)
     if dt * lam >= 2.0:
         warnings.warn(f"explicit Euler unstable: dt * lambda_max = {dt * lam:.3g} >= 2",
@@ -117,7 +124,8 @@ def spectral_filter(pair: LaplacianPair, signal: np.ndarray, gains,
                     n_modes: int, residual: str = "keep") -> np.ndarray:
     """Rescale the first `n_modes` eigen-coefficients of a signal.
 
-    `gains` is a scalar or a length-n_modes array.
+    `gains` is a scalar or a length-n_modes array; a non-finite signal or
+    gain raises `ValueError`.
     The part of the signal above the retained modes is kept verbatim
     (residual="keep") or dropped (residual="drop").
     """
@@ -127,13 +135,14 @@ def spectral_filter(pair: LaplacianPair, signal: np.ndarray, gains,
         raise ValueError("n_modes must be in [1, n)")
     sig = np.asarray(signal, dtype=np.float64)
     flat = sig.reshape(pair.n, -1)
-    pairs = eig_smallest(pair.stiffness, pair.mass, n_modes)
-    basis = pairs.vectors
     g = np.broadcast_to(np.asarray(gains, dtype=np.float64), (n_modes,))
-    coeff = basis.T @ (pair.mass[:, None] * flat)
-    out = basis @ (g[:, None] * coeff)
+    if not (np.all(np.isfinite(flat)) and np.all(np.isfinite(g))):
+        raise ValueError("signal and gains must be finite")
+    basis = eig_smallest(pair.stiffness, pair.mass, n_modes).vectors
+    coeff = _gemm(basis.T, pair.mass[:, None] * flat)
+    out = _gemm(basis, g[:, None] * coeff)
     if residual == "keep":
-        out += flat - basis @ coeff
+        out += flat - _gemm(basis, coeff)
     return out.reshape(sig.shape)
 
 

@@ -367,6 +367,9 @@ def cmd_app(args) -> int:
     if amplify and not 0 <= args.band_start < args.n_modes:
         print(f"error: --band-start must lie in [0, {args.n_modes})", file=sys.stderr)
         return 2
+    if args.subcommand == "arap" and args.constraints is None:
+        print("error: arap needs --constraints", file=sys.stderr)
+        return 2
     points = mesh.vertices
     graph = None
     model = None

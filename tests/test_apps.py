@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import dense_generalized_eigs
 from pointlap.apps import (DeformationConstraints, arap_deform, geodesic_heat,
                            heat_diffuse, laplacian_smooth, spectral_filter)
 from pointlap.geometry import (GeometryError, Mesh, grid_plane, icosphere, make_shape,
@@ -52,6 +53,12 @@ class TestHeatDiffuse:
     def test_shape_check(self):
         with pytest.raises(ValueError):
             heat_diffuse(two_vertex_pair(), np.ones(3), steps=1)
+
+    @pytest.mark.parametrize("dt, steps", [(-1e-3, 10), (0.0, 10), (np.nan, 10),
+                                           (np.inf, 10), (1e-3, -3)])
+    def test_rejects_bad_time_step(self, dt, steps):
+        with pytest.raises(ValueError, match="dt must be|steps must be"):
+            heat_diffuse(two_vertex_pair(), np.array([1.0, 0.0]), dt=dt, steps=steps)
 
 
 def quadrant_grid(nx=32, ny=32):
@@ -242,6 +249,28 @@ class TestSpectralFilter:
         arr = spectral_filter(pair, sig, np.full(10, 0.7), 10)
         scalar = spectral_filter(pair, sig, 0.7, 10)
         assert np.array_equal(arr, scalar)
+
+    def test_low_pass_matches_dense_projection(self, blob_pair):
+        # 642 vertices at 20 modes take the Krylov path (6 * 41 basis vectors < 642)
+        mesh, pair = blob_pair
+        m, x = pair.mass, mesh.vertices
+        lam, v = dense_generalized_eigs(pair.stiffness.to_dense(), m)
+        assert lam[20] - lam[19] > 1e-3 * lam[20]  # so the 20-mode subspace is unique
+        v = v[:, :20]
+        expected = v @ (v.T @ (m[:, None] * x))
+        out = spectral_filter(pair, x, 1.0, 20, residual="drop")
+        assert np.abs(out - expected).max() <= 1e-9 * np.abs(expected).max()
+
+    def test_rejects_non_finite_input(self, blob_pair):
+        mesh, pair = blob_pair
+        sig = mesh.vertices.copy()
+        sig[7, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            spectral_filter(pair, sig, 1.0, 10)
+        gains = np.ones(10)
+        gains[3] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            spectral_filter(pair, mesh.vertices, gains, 10)
 
     def test_validation(self, blob_pair):
         mesh, pair = blob_pair

@@ -275,6 +275,32 @@ def test_app_arap(dataset_dir, tmp_path):
     assert os.path.exists(os.path.join(out, "deformed.ply"))
 
 
+def test_app_arap_requires_constraints(tmp_path, capsys):
+    from pointlap.geometry import grid_plane
+    from pointlap.meshio import save_obj
+
+    mesh_path = str(tmp_path / "plane.obj")
+    save_obj(mesh_path, grid_plane(8, 8))
+    out = str(tmp_path / "o")
+    assert main(["app", "arap", "--mesh", mesh_path, "--out", out]) == 2
+    assert "arap needs --constraints" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flag, value, message", [("--dt", "-0.001", "dt must be"),
+                                                  ("--steps", "-3", "steps must be")])
+def test_app_heat_rejects_bad_time_step(tmp_path, capsys, flag, value, message):
+    from pointlap.geometry import grid_plane
+    from pointlap.meshio import save_obj
+
+    mesh_path = str(tmp_path / "plane.obj")
+    save_obj(mesh_path, grid_plane(8, 8))
+    out = str(tmp_path / "o")
+    assert main(["app", "heat", "--mesh", mesh_path, f"{flag}={value}", "--out", out]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "heat.csv"))
+
+
 def test_missing_input_fails_cleanly(tmp_path):
     rc = main(["eval", "--dataset", str(tmp_path / "nope"), "--out",
                str(tmp_path / "o"), "--baseline", "uniform"])
@@ -321,3 +347,39 @@ def test_cli_import_loads_no_blas():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_threads_cap_both_blas_pools():
+    # numpy and scipy each bundle an OpenBLAS with its own thread pool; the
+    # variables --threads sets before either loads cap both
+    import pointlap
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pointlap.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = """
+import ctypes, json, os
+from pointlap.cli import _apply_threads
+_apply_threads(1)
+import numpy, scipy.linalg
+counts = {}
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as f:
+        paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                counts[path] = fn()
+                break
+print(json.dumps(counts))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    counts = json.loads(out.stdout)
+    if not counts:
+        pytest.skip("no OpenBLAS thread count can be queried here")
+    assert set(counts.values()) == {1}, counts

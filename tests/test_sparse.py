@@ -9,7 +9,7 @@ from helpers import dense_generalized_eigs, rel_err
 from pointlap.geometry import icosphere, make_shape, normalize_unit_box
 from pointlap.laplacian import assemble_learned, cotangent_laplacian, uniform_laplacian
 from pointlap.knn import build_knn
-from pointlap.sparse import (EigenPairs, SolveError, SparseMatrix, cg_solve,
+from pointlap.sparse import (EigenPairs, SolveError, SparseMatrix, _gemm, cg_solve,
                              eig_smallest, lambda_max_estimate,
                              load_matrix_market, load_vector,
                              save_matrix_market, save_vector, spmv)
@@ -124,6 +124,21 @@ class TestSpmv:
     def test_empty_rows(self):
         a = SparseMatrix.from_coo(3, [0], [0], [2.0])
         assert np.array_equal(a @ np.ones(3), [2.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("layout", ["c", "f", "strided"])
+def test_gemm_matches_matmul(layout):
+    rng = np.random.default_rng(3)
+    y, z = rng.standard_normal((60, 7)), rng.standard_normal((60, 7))
+    r, v = rng.standard_normal((7, 5)), rng.standard_normal(60)
+    if layout == "f":
+        y, r = np.asfortranarray(y), np.asfortranarray(r)
+    elif layout == "strided":
+        y, v = rng.standard_normal((120, 7))[::2], rng.standard_normal(120)[::2]
+    for a, b in ((y.T, z), (y.T, y), (y, r), (y.T, v), (y, r[:, 0])):
+        c = _gemm(a, b)
+        assert c.shape == (a @ b).shape and c.flags.c_contiguous
+        assert np.abs(c - a @ b).max() <= 1e-13 * np.abs(a @ b).max()
 
 
 class TestCG:
