@@ -109,9 +109,11 @@ def geodesic_heat(mesh: Mesh, pair: LaplacianPair, source: int) -> np.ndarray:
 
 def laplacian_smooth(points, pair: LaplacianPair, step: float = 0.5,
                      iters: int = 10) -> PointCloud:
-    """Explicit per-axis diffusion of positions with an adaptive step."""
+    """Explicit per-axis diffusion of positions with an adaptive step; `iters` >= 0."""
     if not 0.0 < step <= 1.0:
         raise ValueError("step must lie in (0, 1]")
+    if iters < 0:
+        raise ValueError(f"iters must be non-negative, got {iters}")
     pts = np.asarray(getattr(points, "points", points), dtype=np.float64).copy()
     lam = lambda_max_estimate(pair.stiffness, pair.mass)
     dt = step / max(lam, 1e-300)
@@ -128,6 +130,11 @@ def spectral_filter(pair: LaplacianPair, signal: np.ndarray, gains,
     gain raises `ValueError`.
     The part of the signal above the retained modes is kept verbatim
     (residual="keep") or dropped (residual="drop").
+
+    The output is well defined only when the gains are equal across each
+    repeated eigenvalue and `n_modes` does not split one. Otherwise it
+    depends on the basis of that eigenspace, which `eig_smallest` returns
+    arbitrarily.
     """
     if residual not in ("keep", "drop"):
         raise ValueError("residual policy must be 'keep' or 'drop'")
@@ -166,6 +173,9 @@ class DeformationConstraints:
             raise ValueError("handle index/position count mismatch")
         if np.intersect1d(self.fixed_indices, self.handle_indices).size:
             raise ValueError("fixed and handle sets must be disjoint")
+        if not (np.all(np.isfinite(self.fixed_positions))
+                and np.all(np.isfinite(self.handle_positions))):
+            raise ValueError("constraint positions must be finite")
 
     @property
     def indices(self) -> np.ndarray:
@@ -176,21 +186,15 @@ class DeformationConstraints:
         return np.r_[self.fixed_positions, self.handle_positions]
 
 
-def _fit_rotations(src, dst, w, rest, current, n):
-    """Per-vertex Kabsch fit of current 1-ring edges to rest edges."""
-    e_rest = rest[src] - rest[dst]
-    e_cur = current[src] - current[dst]
-    s = np.zeros((n, 3, 3))
-    for a in range(3):
-        for b in range(3):
-            s[:, a, b] = np.bincount(src, weights=w * e_rest[:, a] * e_cur[:, b], minlength=n)
+def _fit_rotations(cov: np.ndarray) -> np.ndarray:
+    """Per-vertex Kabsch fit: the rotation R_i maximizing tr(R_i S_i) for each (3, 3) S_i."""
     try:
-        u, _, vt = np.linalg.svd(s)
+        u, _, vt = np.linalg.svd(cov)
     except np.linalg.LinAlgError:
-        rot = np.tile(np.eye(3), (n, 1, 1))
-        for i in range(n):
+        rot = np.tile(np.eye(3), (len(cov), 1, 1))
+        for i, s in enumerate(cov):
             try:
-                ui, _, vti = np.linalg.svd(s[i])
+                ui, _, vti = np.linalg.svd(s)
             except np.linalg.LinAlgError:
                 continue
             d = np.sign(np.linalg.det(vti.T @ ui.T))
@@ -202,34 +206,47 @@ def _fit_rotations(src, dst, w, rest, current, n):
     return np.transpose(vt, (0, 2, 1)) @ np.transpose(u, (0, 2, 1))
 
 
-def arap_energy(src, dst, w, rest, current, rot) -> float:
-    d = (current[src] - current[dst]) - np.einsum("eab,eb->ea", rot[src], rest[src] - rest[dst])
-    return float(np.sum(w * np.sum(d * d, axis=1)))
-
-
 def arap_deform(points, graph: KnnGraph, pair: LaplacianPair,
                 constraints: DeformationConstraints, iters: int = 10,
                 return_energy: bool = False):
     """Local/global as-rigid-as-possible deformation on the KNN 1-rings.
 
-    Edge weights come from the pair's stiffness matrix. Starts from the
+    Edge weights w_ij come from the pair's stiffness matrix. Starts from the
     naive Laplacian solve (identity rotations), then alternates rotation
-    fitting with the constrained global solve, whose matrix is factored once
-    and whose every solve is checked by its true residual. The energy after each
-    iteration is asserted non-increasing (up to solver tolerance).
+    fitting with the constrained global solve. The energy after each
+    iteration is asserted non-increasing (up to solver tolerance); `iters`
+    must be non-negative.
+
+    The work runs on the graph's undirected pairs u = (i, j), i < j, through
+    its signed incidence B, (B f)_u = f_i - f_j. The weights w_u and rest
+    edges e_u = B p are formed once per call, and each iteration forms
+    R_i e_u and R_j e_u once. The right-hand side
+    b_i = sum_j w_ij/2 (R_i + R_j) e_ij uses them as b = B^T (w_u/2 (R_i + R_j) e_u):
+    since e_ji = -e_ij, a pair adds its term to b_i and subtracts it from b_j.
+    The energy uses them too, as sum_u w_u (|c_u - R_i e_u|^2 + |c_u - R_j e_u|^2)
+    with c_u = B x. The covariances S_i = sum_j w_ij e_ij c_ij^T are one
+    product of the unsigned (n, e) incidence with the (e, 9) outer products
+    w_u e_u c_u^T.
+
+    Before factoring, every connected component of the stiffness (stored
+    zeros dropped) must hold a constrained vertex; otherwise the free block
+    is singular and `SolveError` is raised. With every component pinned the
+    free block is symmetric positive definite, so it is factored once with
+    diagonal pivots in a symmetric fill-reducing order (SuperLU's symmetric
+    mode), and every solve is checked by its true residual.
     """
+    if iters < 0:
+        raise ValueError(f"iters must be non-negative, got {iters}")
     rest = np.asarray(getattr(points, "points", points), dtype=np.float64)
     n = len(rest)
-    ui, uj = graph.undirected_pairs()
     l = pair.stiffness.csr
-    w_und = -l[ui, uj]
-    src = np.r_[ui, uj]
-    dst = np.r_[uj, ui]
-    w_dir = np.r_[w_und, w_und]
-
     cidx = constraints.indices
     if cidx.size and (cidx.min() < 0 or cidx.max() >= n):
         raise ValueError("constraint index out of range")
+    n_comp, comp = pair.components()
+    if np.unique(comp[cidx]).size < n_comp:
+        raise SolveError("ARAP system is singular: a component holds no constrained vertex",
+                         float("inf"))
     free = np.ones(n, dtype=bool)
     free[cidx] = False
     fidx = np.flatnonzero(free)
@@ -237,38 +254,48 @@ def arap_deform(points, graph: KnnGraph, pair: LaplacianPair,
     l_free_rows = l[fidx]
     l_ff = l_free_rows[:, fidx].tocsc()
     l_fc = l_free_rows[:, pinned]
-    try:
-        lu = splu(l_ff)  # every global step solves with the same matrix
-    except RuntimeError as err:  # a free component that no constraint pins down
+    try:  # every global step solves with the same matrix
+        lu = splu(l_ff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as err:
         raise SolveError("ARAP system is singular", float("inf")) from err
+
+    ui, uj = graph.undirected_pairs()
+    inc = graph.incidence  # (B f)_u = f_i - f_j for the pair u = (i, j)
+    ring = abs(inc).T.tocsr()  # (n, e): vertex i sums the pairs that touch it
+    w = -l[ui, uj]
+    e_rest = inc @ rest
+    we = w[:, None] * e_rest
 
     current = rest.copy()
     current[cidx] = constraints.positions
 
-    def global_step(rot):
-        # b_i = sum_j w_ij/2 (R_i + R_j)(p_i - p_j)
-        r_sum = rot[src] + rot[dst]
-        contrib = 0.5 * w_dir[:, None] * np.einsum("eab,eb->ea", r_sum, rest[src] - rest[dst])
-        rhs = np.stack([np.bincount(src, weights=contrib[:, a], minlength=n)[fidx]
-                        for a in range(3)], axis=1) - l_fc @ current[pinned]
+    def global_step(r_i, r_j):
+        rhs = (inc.T @ (0.5 * w[:, None] * (r_i + r_j)))[fidx] - l_fc @ current[pinned]
         x = lu.solve(rhs)
         resid = np.linalg.norm(l_ff @ x - rhs, axis=0)
         scale = np.linalg.norm(rhs, axis=0)
-        if np.any(resid > 1e-10 * scale):
+        if not np.all(resid <= 1e-10 * scale):  # a NaN residual fails too
             worst = float(np.max(resid / np.maximum(scale, 1e-300)))
             raise SolveError("ARAP global solve missed its residual", worst)
         new = current.copy()
         new[fidx] = x
         return new
 
-    identity = np.tile(np.eye(3), (n, 1, 1))
-    current = global_step(identity)
+    current = global_step(e_rest, e_rest)  # identity rotations
+    cur = inc @ current
     energies = []
     prev = None
     for _ in range(iters):
-        rot = _fit_rotations(src, dst, w_dir, rest, current, n)
-        current = global_step(rot)
-        energy = arap_energy(src, dst, w_dir, rest, current, rot)
+        rot = _fit_rotations((ring @ (we[:, :, None] * cur[:, None, :]).reshape(-1, 9))
+                             .reshape(n, 3, 3))
+        r_i = np.einsum("eab,eb->ea", rot[ui], e_rest)
+        r_j = np.einsum("eab,eb->ea", rot[uj], e_rest)
+        current = global_step(r_i, r_j)
+        cur = inc @ current
+        # pair u = (i, j) in both directions: |cur - R_i e|^2 and |-cur + R_j e|^2
+        d_i, d_j = cur - r_i, cur - r_j
+        energy = float(w @ (np.einsum("ea,ea->e", d_i, d_i) + np.einsum("ea,ea->e", d_j, d_j)))
         if prev is not None and energy > prev + 1e-8 * max(1.0, prev):
             raise AssertionError(f"ARAP energy increased: {prev:.6e} -> {energy:.6e}")
         energies.append(energy)

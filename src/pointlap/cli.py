@@ -238,7 +238,6 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     t0 = time.perf_counter()
     import numpy as np
-    from scipy.sparse.csgraph import connected_components
 
     from .geometry import normalize_unit_box
     from .knn import build_knn
@@ -263,9 +262,7 @@ def cmd_predict(args) -> int:
     rows, cols, vals = pair.stiffness.to_coo()
     off = rows != cols
     dead_fraction = float(np.mean(vals[off] == 0.0)) if off.any() else 0.0
-    alive = pair.stiffness.csr.copy()
-    alive.eliminate_zeros()
-    components = int(connected_components(alive, directed=False)[0])
+    components = int(pair.components()[0])
     os.makedirs(args.out, exist_ok=True)
     l_path = os.path.join(args.out, "L.mtx")
     m_path = os.path.join(args.out, "M.txt")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import GeometryError, Mesh
 from .knn import KnnGraph
@@ -37,6 +38,13 @@ class LaplacianPair:
 
     def sparsity(self) -> float:
         return self.stiffness.nnz / self.n
+
+    def components(self) -> tuple[int, np.ndarray]:
+        """Connected components of the stiffness graph, with stored zeros (dead edges) dropped:
+        their count and each vertex's label."""
+        alive = self.stiffness.csr.copy()
+        alive.eliminate_zeros()
+        return connected_components(alive, directed=False)
 
 
 def _normalized_mass(masses: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from pointlap.geometry import (GeometryError, Mesh, grid_plane, icosphere, make_
                                normalize_unit_box)
 from pointlap.knn import build_knn
 from pointlap.laplacian import LaplacianPair, cotangent_laplacian, uniform_laplacian
-from pointlap.sparse import SparseMatrix, cg_solve
+from pointlap.sparse import SolveError, SparseMatrix, cg_solve
 
 
 def two_vertex_pair():
@@ -218,6 +218,11 @@ class TestSmoothing:
         with pytest.raises(ValueError):
             laplacian_smooth(mesh.vertices, pair, step=1.5)
 
+    def test_negative_iters_rejected(self, blob_pair):
+        mesh, pair = blob_pair
+        with pytest.raises(ValueError, match="iters must be"):
+            laplacian_smooth(mesh.vertices, pair, iters=-3)
+
 
 class TestSpectralFilter:
     def test_all_pass_identity(self, blob_pair):
@@ -344,3 +349,45 @@ class TestArap:
         with pytest.raises(ValueError):
             DeformationConstraints(np.array([1]), np.zeros((1, 3)),
                                    np.array([1]), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("which", ["fixed", "handle"])
+    def test_non_finite_constraint_rejected(self, which):
+        fixed, handle = np.zeros((1, 3)), np.zeros((1, 3))
+        (fixed if which == "fixed" else handle)[0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DeformationConstraints(np.array([0]), fixed, np.array([1]), handle)
+
+    def test_rigid_motion_exact(self, bar):
+        # every constraint moved by one rotation and translation: the rigid
+        # motion of the whole cloud is the zero-energy optimum, and reaching
+        # it needs the R_j term of the right-hand side
+        mesh, graph, pair = bar
+        pts = mesh.vertices
+        axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+        k = np.cross(np.eye(3), axis)  # k @ v = axis x v
+        theta = np.radians(30.0)
+        rot = np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * k @ k
+        moved = pts @ rot.T + np.array([0.3, -0.2, 0.5])
+        idx = np.arange(0, len(pts), 3)
+        half = len(idx) // 2
+        cons = DeformationConstraints(idx[:half], moved[idx[:half]],
+                                      idx[half:], moved[idx[half:]])
+        out, energies = arap_deform(pts, graph, pair, cons, iters=30, return_energy=True)
+        assert np.abs(out.points - moved).max() < 1e-8
+        assert energies[-1] < 1e-12
+
+    def test_unpinned_component_raises(self):
+        rng = np.random.default_rng(0)
+        pts = np.r_[rng.standard_normal((200, 3)), rng.standard_normal((200, 3)) + 20.0]
+        graph = build_knn(pts, k=8)
+        idx = np.arange(0, 200, 10)  # the second cluster holds no constraint
+        cons = DeformationConstraints(idx[:10], pts[idx[:10]], idx[10:], pts[idx[10:]] + 0.5)
+        with pytest.raises(SolveError, match="component"):
+            arap_deform(pts, graph, uniform_laplacian(graph), cons, iters=3)
+
+    def test_negative_iters_rejected(self, bar):
+        mesh, graph, pair = bar
+        pts = mesh.vertices
+        cons = DeformationConstraints([0], pts[:1], np.zeros(0, dtype=int), np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="iters must be"):
+            arap_deform(pts, graph, pair, cons, iters=-2)

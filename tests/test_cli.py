@@ -287,6 +287,21 @@ def test_app_arap_requires_constraints(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("subcommand", ["smooth", "arap"])
+def test_app_rejects_negative_iters(tmp_path, capsys, subcommand):
+    from pointlap.geometry import grid_plane
+    from pointlap.meshio import save_obj
+
+    mesh_path = str(tmp_path / "plane.obj")
+    save_obj(mesh_path, grid_plane(8, 8))
+    cpath = tmp_path / "cons.json"
+    cpath.write_text(json.dumps({"fixed": [0, 1, 2]}))
+    out = str(tmp_path / "o")
+    assert main(["app", subcommand, "--mesh", mesh_path, "--constraints", str(cpath),
+                 "--iters=-3", "--out", out]) == 1
+    assert "iters must be non-negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value, message", [("--dt", "-0.001", "dt must be"),
                                                   ("--steps", "-3", "steps must be")])
 def test_app_heat_rejects_bad_time_step(tmp_path, capsys, flag, value, message):
