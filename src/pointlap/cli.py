@@ -71,16 +71,28 @@ def write_manifest(out_dir: str, command: str, args: dict, seed: int | None,
     return path
 
 
-def _from_section(cfg: configparser.ConfigParser, section: str, base):
-    """`base` with every field that INI `section` sets; `seed` comes only from --seed."""
+def _section(cfg: configparser.ConfigParser, section: str, known) -> dict:
+    """The keys INI `section` sets; a key outside `known` raises, and so does
+    `seed`, which comes only from --seed."""
     if not cfg.has_section(section):
-        return base
-    sec = cfg[section]
+        return {}
+    sec = dict(cfg[section])
+    for key in sec:
+        if key == "seed":
+            raise ValueError(f"[{section}] seed: set the seed with --seed")
+        if key not in known:
+            raise ValueError(f"[{section}] unknown key {key!r}; known keys: "
+                             f"{', '.join(sorted(known))}")
+    return sec
+
+
+def _from_section(cfg: configparser.ConfigParser, section: str, base):
+    """`base` with every field that INI `section` sets."""
+    names = {f.name for f in fields(base)} - {"seed"}
     values = {}
-    for f in fields(base):
-        if f.name in sec and f.name != "seed":
-            default = getattr(base, f.name)
-            values[f.name] = (_ints if isinstance(default, tuple) else type(default))(sec[f.name])
+    for name, text in _section(cfg, section, names).items():
+        default = getattr(base, name)
+        values[name] = (_ints if isinstance(default, tuple) else type(default))(text)
     return replace(base, **values)
 
 
@@ -187,7 +199,7 @@ def load_dataset(dataset_dir: str, model_cfg=None, limit: int | None = None) -> 
 def cmd_gen(args) -> int:
     t0 = time.perf_counter()
     cfg = _read_config(args.config)
-    sec = cfg["dataset"] if cfg.has_section("dataset") else {}
+    sec = _section(cfg, "dataset", ("num_shapes", "kinds", "min_resolution", "max_resolution"))
     num = args.num_shapes or int(sec.get("num_shapes", 20))
     kinds = tuple(sec.get("kinds", "").replace(",", " ").split()) or None
     index = generate_dataset(
@@ -228,7 +240,9 @@ def cmd_train(args) -> int:
     outputs = [log_path, os.path.join(args.out, "checkpoint_final")]
     write_manifest(args.out, "train", vars(args), args.seed, outputs,
                    time.perf_counter() - t0,
-                   {"model": model_cfg.to_dict(), "training": train_cfg.to_dict()})
+                   {"model": model_cfg.to_dict(), "training": train_cfg.to_dict(),
+                    "level_points": [sum(s.hier.levels[i].graph.num_vertices for s in samples)
+                                     for i in range(3)]})
     final = result.log[-1]
     print(f"trained {train_cfg.epochs} epochs: total loss {final['loss_total']:.4f}, "
           f"holdout MSE {final['holdout_mse']:.4f}")
@@ -274,6 +288,7 @@ def cmd_predict(args) -> int:
                    "sparsity": pair.sparsity(),
                    "dead_edge_fraction": dead_fraction, "components": components,
                    "levels": [level.graph.num_vertices for level in hier.levels],
+                   "voxel_sizes": [pool.voxel_size for pool in hier.pools],
                    "stage_s": stage_s}, f, indent=1, sort_keys=True)
     write_manifest(args.out, "predict", vars(args), args.seed,
                    [l_path, m_path, sidecar], time.perf_counter() - t0)

@@ -134,8 +134,8 @@ def coarsen_by_voxel(graph: KnnGraph, voxel_size: float,
     The grid is anchored at the bounding-box minimum (or the caller-supplied
     anchor) so translating the cloud translates the voxel assignment with it.
     """
-    if voxel_size <= 0:
-        raise ValueError("voxel_size must be positive")
+    if not (np.isfinite(voxel_size) and voxel_size > 0):
+        raise ValueError(f"voxel_size must be finite and positive, got {voxel_size}")
     pos = graph.positions
     if anchor is None:
         anchor = pos.min(axis=0)

@@ -4,13 +4,17 @@ The network never sees absolute coordinates: the input signal is all-ones
 plus the neighbor count, and every graph convolution augments neighbor
 features with the relative offset and its length. Levels are joined by
 voxel pooling (the per-voxel mean, a scatter sum over the fine-to-coarse
-map) and unpooling (a row gather along the same map). Weights come from an
-MLP on the squared feature difference (symmetric by construction) behind a
-ReLU; masses from an MLP behind a Softplus, normalized to mean one.
+map) and unpooling (a row gather along the same map). The first voxel is
+1.5x the mean KNN edge length and doubles per level, so every cloud pools
+about 3x per level at any point count or scale; at 1.5 a 10k-point cloud in
+the unit box keeps the levels of the fixed 1/16 voxel the network was tuned
+at. Weights come from an MLP on the squared feature difference (symmetric by
+construction) behind a ReLU; masses from an MLP behind a Softplus,
+normalized to mean one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -30,7 +34,6 @@ class ModelConfig:
     blocks: tuple = (2, 2, 2)
     mlp_hidden: int = 64
     k: int = 8
-    first_voxel_size: float = 1.0 / 16.0
     gn_groups: int = 8
 
     def __post_init__(self):
@@ -59,6 +62,10 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(ModelConfig)})
+        if unknown:
+            raise ValueError(f"unknown model config fields {unknown}; a checkpoint "
+                             "from an older version must be retrained")
         d = dict(d)
         for key in ("enc_channels", "dec_channels", "blocks"):
             if key in d:
@@ -96,11 +103,28 @@ class GraphHierarchy:
         return self.levels[0].graph
 
 
+# First voxel over the mean KNN edge length: at 1.5 the 10,242-point unit-box
+# blob keeps the levels of the fixed 1/16 voxel the network was tuned at
+# (3408 and 940 points at levels 1 and 2, against 3393 and 934).
+VOXEL_PER_SPACING = 1.5
+
+
 def build_hierarchy(graph: KnnGraph, config: ModelConfig) -> GraphHierarchy:
+    """Three levels joined by two voxel pools; depends on the graph alone.
+
+    Pool 0's voxel is `VOXEL_PER_SPACING` (1.5, see there) times the mean
+    length of the undirected edges and pool 1's twice that, so every cloud
+    coarsens about 3x per level whatever its point count or scale. An
+    edgeless graph has no spacing and no edge to join; it gets a unit voxel.
+    """
     levels = [GraphLevel(graph)]
     pools = []
     current = graph
-    size = config.first_voxel_size
+    ui, uj = graph.undirected_pairs()
+    size = 1.0
+    if len(ui):
+        size = VOXEL_PER_SPACING * float(
+            np.mean(np.linalg.norm(graph.positions[ui] - graph.positions[uj], axis=1)))
     for _ in range(2):
         pool = coarsen_by_voxel(current, size)
         current = pool.coarse

@@ -143,6 +143,9 @@ def test_train_outputs(checkpoint_dir):
     manifest = json.load(open(os.path.join(run_dir, "run_manifest.json")))
     assert manifest["command"] == "train"
     assert manifest["seed"] == 0
+    points = manifest["config"]["level_points"]
+    assert len(points) == 3
+    assert points[0] > points[1] > points[2] > 0
 
 
 def test_predict_round_trip(checkpoint_dir, dataset_dir, tmp_path):
@@ -163,10 +166,54 @@ def test_predict_round_trip(checkpoint_dir, dataset_dir, tmp_path):
     levels = sidecar["levels"]
     assert levels[0] == sidecar["n"]
     assert all(a >= b for a, b in zip(levels, levels[1:]))
+    voxels = sidecar["voxel_sizes"]
+    assert len(voxels) == 2
+    assert voxels[0] > 0
+    assert voxels[1] == 2.0 * voxels[0]
     assert set(sidecar["stage_s"]) == {"knn", "hierarchy", "forward_assemble"}
     assert all(t >= 0 for t in sidecar["stage_s"].values())
     assert 0.0 <= sidecar["dead_edge_fraction"] <= 1.0
     assert sidecar["components"] >= 1
+
+
+def test_predict_rejects_checkpoint_with_unknown_config(checkpoint_dir, dataset_dir,
+                                                        tmp_path, capsys):
+    import shutil
+
+    old = str(tmp_path / "old_checkpoint")
+    shutil.copytree(checkpoint_dir, old)
+    manifest_path = os.path.join(old, "manifest.json")
+    manifest = json.load(open(manifest_path))
+    manifest["extra"]["config"]["first_voxel_size"] = 1.0 / 16.0
+    json.dump(manifest, open(manifest_path, "w"))
+    with open(os.path.join(dataset_dir, "index.json")) as f:
+        name = json.load(f)["shapes"][0]["name"]
+    cloud = os.path.join(dataset_dir, "shapes", name, "points.ply")
+    rc = main(["predict", "--checkpoint", old, "--cloud", cloud,
+               "--out", str(tmp_path / "pred")])
+    assert rc == 1
+    assert "first_voxel_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section,key", [
+    ("train", "model", "voxel_size"),
+    ("train", "training", "epoch"),
+    ("train", "training", "seed"),
+    ("gen", "dataset", "num_shape"),
+])
+def test_ini_rejects_unknown_keys(dataset_dir, tmp_path, capsys, command, section, key):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(f"[{section}]\n{key} = 3\n")
+    out = str(tmp_path / "out")
+    argv = [command, "--out", out, "--config", str(cfg)]
+    if command == "train":
+        argv += ["--dataset", dataset_dir]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"[{section}]" in err and key in err
+    if key == "seed":
+        assert "--seed" in err
+    assert not os.path.exists(out)
 
 
 def test_eval_schema_and_total(dataset_dir, tiny_cfg_file, tmp_path):

@@ -231,8 +231,9 @@ class TestCoarsening:
 
     def test_invalid_voxel_size(self):
         g = build_knn(np.random.default_rng(0).random((10, 3)), k=2)
-        with pytest.raises(ValueError):
-            coarsen_by_voxel(g, 0.0)
+        for voxel_size in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                coarsen_by_voxel(g, voxel_size)
 
 
 def test_graph_from_edges_dedup():

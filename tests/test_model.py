@@ -35,7 +35,6 @@ class TestConfig:
         assert paper.dec_channels == (256, 256, 512)
         assert paper.blocks == (3, 2, 3)
         assert paper.feature_dim == 256
-        assert paper.first_voxel_size == 1.0 / 16.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -48,6 +47,15 @@ class TestConfig:
     def test_round_trip_dict(self):
         cfg = ModelConfig.paper_scale()
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_checkpoint_with_unknown_field_rejected(self, tiny_model_config, tmp_path):
+        # a checkpoint written while the first voxel was a config field was
+        # trained on another hierarchy, so it must not load silently
+        old = dict(tiny_model_config.to_dict(), first_voxel_size=1.0 / 16.0)
+        ad.save_checkpoint(str(tmp_path / "old"), LaplacianNet(tiny_model_config).params,
+                           {"config": old})
+        with pytest.raises(ValueError, match="first_voxel_size"):
+            load_model(str(tmp_path / "old"))
 
 
 class TestInputSignal:
@@ -114,9 +122,31 @@ class TestHierarchy:
         hier = build_hierarchy(small_graph, ModelConfig())
         assert len(hier.levels) == 3
         assert len(hier.pools) == 2
-        assert hier.pools[0].voxel_size == 1.0 / 16.0
-        assert hier.pools[1].voxel_size == 1.0 / 8.0
+        ui, uj = small_graph.undirected_pairs()
+        pos = small_graph.positions
+        spacing = np.mean(np.linalg.norm(pos[ui] - pos[uj], axis=1))
+        assert hier.pools[0].voxel_size == 1.5 * spacing
+        assert hier.pools[1].voxel_size == 2.0 * (1.5 * spacing)
         assert hier.levels[2].graph.num_vertices <= hier.levels[1].graph.num_vertices
+
+    def test_scale_free(self):
+        # scaling by 4 is exact in binary floating point, so the KNN graph,
+        # the voxel keys and the centroids scale exactly with the cloud
+        pts = normalize_unit_box(make_shape("torus", 700, 3)).vertices
+        a = build_hierarchy(build_knn(pts, k=8), ModelConfig())
+        b = build_hierarchy(build_knn(4.0 * pts, k=8), ModelConfig())
+        for pa, pb in zip(a.pools, b.pools):
+            assert pb.voxel_size == 4.0 * pa.voxel_size
+            assert np.array_equal(pa.mapping, pb.mapping)
+        assert ([lv.graph.num_vertices for lv in a.levels]
+                == [lv.graph.num_vertices for lv in b.levels])
+
+    @pytest.mark.parametrize("kind,resolution", [("sphere", 700), ("blended-blob", 2562)])
+    def test_level_one_pools_at_any_point_count(self, kind, resolution):
+        pts = normalize_unit_box(make_shape(kind, resolution, 3)).vertices
+        hier = build_hierarchy(build_knn(pts, k=8), ModelConfig())
+        kept = hier.levels[1].graph.num_vertices / hier.levels[0].graph.num_vertices
+        assert 0.2 <= kept <= 0.5
 
     def test_minimum_cloud(self, tiny_model_config):
         pts = np.random.default_rng(7).random((9, 3))
@@ -176,6 +206,7 @@ class TestForward:
         assert any(not np.array_equal(a.params[n].data, c.params[n].data)
                    for n in a.params)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_tiny_graph(self, tiny_net, tiny_model_config):
         g = graph_from_edges(np.zeros((1, 3)), [], [], k=1)
         hier = build_hierarchy(g, tiny_model_config)
