@@ -5,10 +5,20 @@ topological order by construction; backward walks it once in reverse. Every
 op validates its output for non-finite values and raises immediately, so a
 diverging run fails at the op that produced the NaN.
 
-`NO_TAPE` runs the same ops forward only: it drops every backward closure as
-it is recorded, so an op's intermediates are freed as soon as the op's output
-is no longer referenced, and it refuses to backpropagate. Inference passes it
-in place of a `Tape`; the forward numbers are identical on either.
+An op keeps only what its backward reads: its inputs and its output, plus
+an array of its own only where recomputing it would cost a pass over the
+op's work (`group_norm` keeps the standardized input, `graph_conv` keeps
+A x). `softplus` recomputes exp(-|x|) instead of keeping it. `NO_TAPE` runs
+the same ops forward only: it drops every backward closure as it is
+recorded, so no intermediate outlives the op that made it, and it refuses
+to backpropagate. Inference passes it in place of a `Tape`; the forward
+numbers are identical on either.
+
+Gradients accumulate in place. The first contribution to a tensor is
+stored as it is, and may be shared with a sibling (`add` hands the same
+array to both inputs) or be a read-only broadcast view, so it is never
+written; the second allocates the sum, which the tensor then owns and
+later contributions add into.
 """
 from __future__ import annotations
 
@@ -33,14 +43,24 @@ def _validate(data: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "_grad", "_owns_grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         if self.data.ndim > 2:
             raise ValueError("tensors are at most 2-D")
-        self.grad: np.ndarray | None = None
+        self.grad = None
         self.requires_grad = requires_grad
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        # an array set from outside may be shared, so it is never written
+        self._grad = value
+        self._owns_grad = False
 
     @property
     def shape(self):
@@ -114,7 +134,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
-    t.grad = g if t.grad is None else t.grad + g
+    if t._grad is None:
+        t.grad = g
+    elif t._owns_grad:
+        t._grad += g
+    else:
+        t._grad = t._grad + g
+        t._owns_grad = True
 
 
 def _wrap(x) -> Tensor:
@@ -178,8 +204,10 @@ def matmul(tape: Tape, x: Tensor, w: Tensor) -> Tensor:
 
 def linear(tape: Tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ W + b for x (n, c_in), W (c_in, c_out), b (c_out,)."""
-    out = Tensor(x.data @ w.data + b.data,
-                 requires_grad=x.requires_grad or w.requires_grad or b.requires_grad)
+    # the bias goes into the product in place: numpy would keep both alive
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor(y, requires_grad=x.requires_grad or w.requires_grad or b.requires_grad)
     _validate(out.data, "linear")
 
     def bwd():
@@ -208,18 +236,34 @@ def relu(tape: Tape, x: Tensor) -> Tensor:
     return out
 
 
-def softplus(tape: Tape, x: Tensor) -> Tensor:
-    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow."""
-    e = np.abs(x.data)
+def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    e = np.abs(x)
     np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = Tensor(np.maximum(x.data, 0.0) + np.log1p(e), requires_grad=x.requires_grad)
+    return np.exp(e, out=e)
+
+
+def softplus(tape: Tape, x: Tensor) -> Tensor:
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which cannot overflow.
+
+    The output is built in one buffer; adding x where x > 0 is the same
+    addition as max(x, 0) + log1p(...), and elsewhere that sum is log1p(...)
+    itself. The backward recomputes exp(-|x|) rather than keeping it.
+    """
+    y = _exp_neg_abs(x.data)
+    np.log1p(y, out=y)
+    np.add(y, x.data, out=y, where=x.data > 0)
+    out = Tensor(y, requires_grad=x.requires_grad)
     _validate(out.data, "softplus")
 
     def bwd():
         # the logistic sigmoid: 1 / (1 + e) for x >= 0, e / (1 + e) below
         if out.grad is not None and x.requires_grad:
-            _accum(x, out.grad * (np.where(x.data >= 0, 1.0, e) / (1.0 + e)))
+            e = _exp_neg_abs(x.data)
+            s = np.where(x.data >= 0, 1.0, e)
+            e += 1.0
+            s /= e
+            s *= out.grad
+            _accum(x, s)
 
     tape.record(bwd)
     return out
@@ -240,8 +284,9 @@ def group_norm(tape: Tape, x: Tensor, groups: int, gamma: Tensor, beta: Tensor,
     istd = 1.0 / np.sqrt(var + eps)
     d *= istd
     xhat = d.reshape(n, c)
-    out = Tensor(xhat * gamma.data + beta.data,
-                 requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    y = xhat * gamma.data
+    y += beta.data
+    out = Tensor(y, requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
     _validate(out.data, "group_norm")
 
     def bwd():
@@ -325,8 +370,48 @@ def adjacency_sum(tape: Tape, x: Tensor, a) -> Tensor:
     return out
 
 
+def graph_conv(tape: Tape, x: Tensor, adj, geom: np.ndarray, w0: Tensor,
+               w1: Tensor) -> Tensor:
+    """x W0 + [A x || geom] W1 as one op, for a scipy sparse A = `adj`.
+
+    The sums run in the order of `add(matmul(x, W0), concat_linear(
+    [adjacency_sum(x, A), geom], W1))`, so the bytes match that composition,
+    and the tape keeps only p = A x. x's gradient gets g W0^T first, then
+    A^T (g W1[:c]^T), as in the composition.
+    """
+    c = x.data.shape[1]
+    p = adj @ x.data
+    agg = p @ w1.data[:c]
+    agg += geom @ w1.data[c:]
+    y = x.data @ w0.data
+    y += agg
+    out = Tensor(y, requires_grad=x.requires_grad or w0.requires_grad or w1.requires_grad)
+    _validate(out.data, "graph_conv")
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        if x.requires_grad:
+            _accum(x, g @ w0.data.T)
+        if w0.requires_grad:
+            _accum(w0, x.data.T @ g)
+        if w1.requires_grad:
+            _accum(w1, np.concatenate([p.T @ g, geom.T @ g], axis=0))
+        if x.requires_grad:
+            _accum(x, adj.T @ (g @ w1.data[:c].T))
+
+    tape.record(bwd)
+    return out
+
+
 def concat_linear(tape: Tape, parts: list, w: Tensor) -> Tensor:
-    """concat_cols(parts) @ w without materializing the concatenation."""
+    """concat_cols(parts) @ w without materializing the concatenation.
+
+    The model's graph convolution runs on `graph_conv` instead; this op
+    stays because the benchmark's tracer (`perfbench/tracer.py`) looks it
+    up by name.
+    """
     parts = [_wrap(p) for p in parts]
     offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
     if offsets[-1] != w.data.shape[0]:
@@ -405,8 +490,10 @@ def adamw_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
         if weight_decay:
             p.data *= 1.0 - lr * weight_decay
         g = p.grad
-        p.m = beta1 * p.m + (1.0 - beta1) * g
-        p.v = beta2 * p.v + (1.0 - beta2) * (g * g)
+        p.m *= beta1
+        p.m += (1.0 - beta1) * g
+        p.v *= beta2
+        p.v += (1.0 - beta2) * (g * g)
         mhat = p.m / (1.0 - beta1 ** p.step)
         vhat = p.v / (1.0 - beta2 ** p.step)
         p.data -= lr * mhat / (np.sqrt(vhat) + eps)

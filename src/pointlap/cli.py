@@ -45,9 +45,12 @@ def write_manifest(out_dir: str, command: str, args: dict, seed: int | None,
     `args` is the parsed namespace as a dict; only the options the parser
     declares are recorded, not the `fn` dispatch callback that
     ``set_defaults`` adds. The numpy, scipy and Python versions in effect are
-    recorded under "versions".
+    recorded under "versions", and the process's peak resident set so far
+    under "peak_rss_mb" (`ru_maxrss`, which Linux reports in KiB and macOS
+    in bytes).
     """
     import platform
+    import resource
 
     import numpy
     import scipy
@@ -61,6 +64,8 @@ def write_manifest(out_dir: str, command: str, args: dict, seed: int | None,
         "versions": {"numpy": numpy.__version__, "scipy": scipy.__version__,
                      "python": platform.python_version()},
         "wall_time_s": wall_time,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0),
         "outputs": sorted(str(p) for p in outputs),
     }
     path = os.path.join(out_dir, "run_manifest.json")
@@ -188,7 +193,7 @@ def load_dataset(dataset_dir: str, model_cfg=None, limit: int | None = None) -> 
         gt = LaplacianPair(stiffness, mass, tag="cotangent")
         probes = load_probes(os.path.join(shape_dir, "probes_spectral.probes"))
         graph = build_knn(mesh.vertices, k=model_cfg.k)
-        hier = build_hierarchy(graph, model_cfg)
+        hier = build_hierarchy(graph)
         samples.append(TrainingSample(entry["name"], entry["kind"], mesh.vertices.copy(),
                                       hier, gt, probes))
     return samples
@@ -266,7 +271,7 @@ def cmd_predict(args) -> int:
     t_knn = time.perf_counter()
     graph = build_knn(mesh.vertices, k=model.config.k)
     t_hier = time.perf_counter()
-    hier = build_hierarchy(graph, model.config)
+    hier = build_hierarchy(graph)
     t_fwd = time.perf_counter()
     pair = model.predict_pair(graph, hier)
     stage_s = {"knn": t_hier - t_knn, "hierarchy": t_fwd - t_hier,

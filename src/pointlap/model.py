@@ -77,10 +77,11 @@ class GraphLevel:
     """One U-Net level: a graph and the aggregation operands of its convolutions.
 
     `adj` is the (n, n) CSR adjacency with unit weights, built straight from
-    the sorted edge list, so row i sums N(i) in ascending order, and so does
-    adj.T @ g. `geom_sum` holds per-vertex [sum_j v_ij, sum_j l_ij] for the
-    edge vectors v_ij = x_i - x_j and their lengths l_ij; because the message
-    map is linear it can be applied after neighbor aggregation.
+    the sorted edge list, so row i sums N(i) in ascending order. The graph is
+    symmetrized, so `adj` equals its transpose exactly and adj.T @ g sums in
+    that same order. `geom_sum` holds per-vertex [sum_j v_ij, sum_j l_ij] for
+    the edge vectors v_ij = x_i - x_j and their lengths l_ij; because the
+    message map is linear it can be applied after neighbor aggregation.
     """
 
     def __init__(self, graph: KnnGraph):
@@ -109,8 +110,11 @@ class GraphHierarchy:
 VOXEL_PER_SPACING = 1.5
 
 
-def build_hierarchy(graph: KnnGraph, config: ModelConfig) -> GraphHierarchy:
+def build_hierarchy(graph: KnnGraph, config: ModelConfig | None = None) -> GraphHierarchy:
     """Three levels joined by two voxel pools; depends on the graph alone.
+
+    `config` is ignored; it is still accepted so that callers which pass a
+    `ModelConfig` keep working.
 
     Pool 0's voxel is `VOXEL_PER_SPACING` (1.5, see there) times the mean
     length of the undirected edges and pool 1's twice that, so every cloud
@@ -148,11 +152,10 @@ def graph_conv(tape: Tape, features: Tensor, level: GraphLevel,
     The per-edge map is linear, so W1 is applied after summing neighbor
     features (`level.adj`) and edge geometry (`level.geom_sum`) per vertex;
     this is algebraically identical to transforming each concatenated message
-    and summing.
+    and summing. It runs as the one fused op `autodiff.graph_conv`, which
+    keeps only the neighbor sum for its backward.
     """
-    p_sum = ad.adjacency_sum(tape, features, level.adj)
-    agg = ad.concat_linear(tape, [p_sum, Tensor(level.geom_sum)], w1)
-    return ad.add(tape, ad.matmul(tape, features, w0), agg)
+    return ad.graph_conv(tape, features, level.adj, level.geom_sum, w0, w1)
 
 
 def _pool(tape: Tape, x: Tensor, level: CoarseningLevel) -> Tensor:
@@ -242,6 +245,12 @@ class LaplacianNet:
         already normalized to mean one. `tape` is a `Tape` when the pass is
         to be backpropagated, or ``ad.NO_TAPE`` for a forward-only pass that
         frees each op's intermediates as it goes; both give the same numbers.
+
+        The edge MLP's chain (incidence product, square, fc1, softplus) is
+        bound to one name. Each step makes an (undirected edges x hidden)
+        array, the largest of the pass; rebinding the name drops the previous
+        one as soon as the next exists, so a forward-only pass holds two of
+        them at its peak instead of every step's.
         """
         cfg = self.config
         p = self.params
@@ -265,9 +274,10 @@ class LaplacianNet:
                 x = self._resblock(tape, x, hier.levels[lvl], f"dec{lvl}.block{b}")
         feats = x
 
-        diff = ad.adjacency_sum(tape, feats, g0.incidence)
-        sq = ad.mul(tape, diff, diff)
-        h = ad.softplus(tape, ad.linear(tape, sq, p["edge.fc1.w"], p["edge.fc1.b"]))
+        h = ad.adjacency_sum(tape, feats, g0.incidence)
+        h = ad.mul(tape, h, h)
+        h = ad.linear(tape, h, p["edge.fc1.w"], p["edge.fc1.b"])
+        h = ad.softplus(tape, h)
         weights = ad.relu(tape, ad.linear(tape, h, p["edge.fc2.w"], p["edge.fc2.b"]))
 
         hm = ad.softplus(tape, ad.linear(tape, feats, p["mass.fc1.w"], p["mass.fc1.b"]))
@@ -277,7 +287,7 @@ class LaplacianNet:
 
     def predict_pair(self, graph: KnnGraph, hier: GraphHierarchy | None = None) -> LaplacianPair:
         if hier is None:
-            hier = build_hierarchy(graph, self.config)
+            hier = build_hierarchy(graph)
         weights, masses, _ = self.forward(ad.NO_TAPE, hier)
         return assemble_learned(graph, weights.data.ravel(), masses.data.ravel())
 

@@ -65,7 +65,7 @@ def prepare_sample(name: str, kind: str, mesh: Mesh, model_cfg: ModelConfig,
     """Full per-shape preprocessing; the mesh is assumed normalized already."""
     cloud = points_from_mesh(mesh)
     graph = build_knn(cloud, k=model_cfg.k)
-    hier = build_hierarchy(graph, model_cfg)
+    hier = build_hierarchy(graph)
     gt = cotangent_laplacian(mesh)
     spectral = spectral_probes(gt, count=spectral_count, seed=seed)
     return TrainingSample(name, kind, cloud.points, hier, gt, spectral)

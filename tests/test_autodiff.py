@@ -4,8 +4,8 @@ from scipy.sparse import csr_array
 
 from helpers import op_gradcheck, rel_err
 from pointlap import autodiff as ad
-from pointlap.autodiff import (AdamW, NonFiniteError, Parameter, Tape, Tensor, adamw_step,
-                               kaiming_uniform, load_checkpoint, save_checkpoint)
+from pointlap.autodiff import (NO_TAPE, AdamW, NonFiniteError, Parameter, Tape, Tensor,
+                               adamw_step, kaiming_uniform, load_checkpoint, save_checkpoint)
 
 
 def scalarize(tape, t, const):
@@ -208,6 +208,24 @@ class TestGradChecks:
         # note: this table is intentionally symmetric as a vertex relation
         self.run(make, 2, 6)
 
+    def test_graph_conv(self):
+        adj = csr_array((np.ones(10), [1, 2, 0, 2, 3, 0, 1, 1, 4, 3], [0, 2, 5, 7, 9, 10]),
+                        shape=(5, 5))
+
+        def make(rng):
+            x = Parameter("x", rng.standard_normal((5, 3)))
+            w0 = Parameter("w0", rng.standard_normal((3, 4)))
+            w1 = Parameter("w1", rng.standard_normal((5, 4)))
+            geom = rng.standard_normal((5, 2))
+            c = Tensor(rng.standard_normal((5, 4)))
+
+            def build(tape):
+                return scalarize(tape, ad.graph_conv(tape, x, adj, geom, w0, w1), c)
+
+            return [x, w0, w1], build
+
+        self.run(make, 3, 10)
+
     def test_adjacency_sum_rectangular(self):
         # a signed incidence B (3 edges, 4 vertices) and its transpose: the
         # backward must multiply by the transpose of the forward operator
@@ -241,6 +259,90 @@ class TestGradChecks:
             return [a, b], build
 
         self.run(make, 2, 7)
+
+
+def test_graph_conv_bytes_match_composition():
+    """The fused op against adjacency_sum, matmul on W1's row slices and add."""
+    rng = np.random.default_rng(12)
+    n, c, c_out = 30, 6, 5
+    upper = np.triu(rng.random((n, n)) < 0.2, 1)
+    adj = csr_array((upper | upper.T).astype(np.float64))
+    geom = rng.standard_normal((n, 4))
+    x_data, w0_data = rng.standard_normal((n, c)), rng.standard_normal((c, c_out))
+    w1_data, upstream = rng.standard_normal((c + 4, c_out)), rng.standard_normal((n, c_out))
+    other = Tensor(rng.standard_normal((n, c)))
+
+    def run(conv):
+        x, w0, w1 = Parameter("x", x_data), Parameter("w0", w0_data), Parameter("w1", w1_data)
+        tape = Tape()
+        out = conv(tape, x, w0, w1)
+        # a consumer recorded later reaches x.grad first, so the order of
+        # the conv's two contributions shows in the bytes
+        tape.backward(ad.add(tape, scalarize(tape, out, Tensor(upstream)),
+                             scalarize(tape, x, other)))
+        return out.data, x.grad, w0.grad, w1.grad
+
+    w1_parts = []
+
+    def composed(tape, x, w0, w1):
+        w1_parts[:] = Parameter("w1a", w1.data[:c]), Parameter("w1b", w1.data[c:])
+        agg = ad.add(tape, ad.matmul(tape, ad.adjacency_sum(tape, x, adj), w1_parts[0]),
+                     ad.matmul(tape, Tensor(geom), w1_parts[1]))
+        return ad.add(tape, ad.matmul(tape, x, w0), agg)
+
+    fused = run(lambda tape, x, w0, w1: ad.graph_conv(tape, x, adj, geom, w0, w1))
+    *reference, _ = run(composed)
+    reference.append(np.concatenate([p.grad for p in w1_parts], axis=0))
+    for got, want in zip(fused, reference):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_accumulation_leaves_shared_first_gradient_intact():
+    """Three contributions to `a`; the first is shared with `b` through add."""
+    rng = np.random.default_rng(13)
+    a = Parameter("a", rng.standard_normal((4, 3)))
+    b = Parameter("b", rng.standard_normal((4, 3)))
+    c1, c2, c3 = (Tensor(rng.standard_normal((4, 3))) for _ in range(3))
+    tape = Tape()
+    u = ad.mul(tape, a, c1)                  # third contribution to a
+    v = ad.mul(tape, a, c2)                  # second
+    s = ad.add(tape, a, b)                   # first, the same array as b's
+    total = ad.add(tape, ad.add(tape, u, v), s)
+    tape.backward(ad.sum_all(tape, ad.mul(tape, total, c3)))
+    upstream = np.ones((4, 3)) * c3.data
+    assert s.grad.tobytes() == upstream.tobytes()
+    assert b.grad.tobytes() == upstream.tobytes()
+    expected = (upstream + upstream * c2.data) + upstream * c1.data
+    assert a.grad.tobytes() == expected.tobytes()
+    assert a.grad is not b.grad
+
+
+def test_accumulation_does_not_write_an_array_set_from_outside():
+    x = Parameter("x", np.ones(3))
+    mine = np.zeros(3)
+    x.grad = mine
+    for _ in range(2):
+        tape = Tape()
+        tape.backward(ad.sum_all(tape, x))
+    assert np.array_equal(mine, np.zeros(3))
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_adamw_moments_in_place_match_out_of_place():
+    rng = np.random.default_rng(14)
+    p = Parameter("p", rng.standard_normal(6))
+    m, v, data = np.zeros(6), np.zeros(6), p.data.copy()
+    for step in range(1, 4):
+        g = rng.standard_normal(6)
+        p.grad = g
+        adamw_step([p], lr=1e-2)
+        data *= 1.0 - 1e-2 * 0.01
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        data -= 1e-2 * (m / (1.0 - 0.9 ** step)) / (np.sqrt(v / (1.0 - 0.999 ** step)) + 1e-8)
+    assert p.m.tobytes() == m.tobytes()
+    assert p.v.tobytes() == v.tobytes()
+    assert p.data.tobytes() == data.tobytes()
 
 
 class TestTapeSemantics:
@@ -455,6 +557,12 @@ class TestSinglePassKernels:
         x = self._softplus_inputs()
         out = ad.softplus(Tape(), Tensor(x))
         np.testing.assert_array_max_ulp(out.data, np.logaddexp(0.0, x), maxulp=4)
+
+    def test_softplus_bytes_match_plain_formula(self):
+        x = self._softplus_inputs()
+        out = ad.softplus(NO_TAPE, Tensor(x))
+        ref = np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+        assert out.data.tobytes() == ref.tobytes()
 
     def test_softplus_gradient_is_the_sigmoid(self):
         x = Parameter("x", self._softplus_inputs())

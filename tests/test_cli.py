@@ -176,6 +176,21 @@ def test_predict_round_trip(checkpoint_dir, dataset_dir, tmp_path):
     assert sidecar["components"] >= 1
 
 
+def test_predict_manifest_records_peak_rss(checkpoint_dir, dataset_dir, tmp_path):
+    import resource
+
+    with open(os.path.join(dataset_dir, "index.json")) as f:
+        name = json.load(f)["shapes"][0]["name"]
+    cloud = os.path.join(dataset_dir, "shapes", name, "points.ply")
+    out = str(tmp_path / "pred")
+    assert main(["predict", "--checkpoint", checkpoint_dir, "--cloud", cloud,
+                 "--out", out]) == 0
+    manifest = json.load(open(os.path.join(out, "run_manifest.json")))
+    # the peak of this process so far: positive, and no later reading is lower
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert 0.0 < manifest["peak_rss_mb"] <= after
+
+
 def test_predict_rejects_checkpoint_with_unknown_config(checkpoint_dir, dataset_dir,
                                                         tmp_path, capsys):
     import shutil

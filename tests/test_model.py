@@ -148,6 +148,23 @@ class TestHierarchy:
         kept = hier.levels[1].graph.num_vertices / hier.levels[0].graph.num_vertices
         assert 0.2 <= kept <= 0.5
 
+    def test_adjacency_exactly_symmetric_on_every_level(self):
+        pts = normalize_unit_box(make_shape("blended-blob", 2562, 3)).vertices
+        hier = build_hierarchy(build_knn(pts, k=8))
+        for level in hier.levels:
+            adj, adj_t = level.adj, level.adj.T.tocsr()
+            adj_t.sort_indices()
+            assert np.array_equal(adj.indptr, adj_t.indptr)
+            assert np.array_equal(adj.indices, adj_t.indices)
+            assert adj.data.tobytes() == adj_t.data.tobytes()
+
+    def test_config_is_ignored(self, small_graph, tiny_model_config):
+        a = build_hierarchy(small_graph)
+        b = build_hierarchy(small_graph, tiny_model_config)
+        for pa, pb in zip(a.pools, b.pools):
+            assert pa.voxel_size == pb.voxel_size
+            assert np.array_equal(pa.mapping, pb.mapping)
+
     def test_minimum_cloud(self, tiny_model_config):
         pts = np.random.default_rng(7).random((9, 3))
         g = build_knn(pts, k=8)
@@ -244,6 +261,28 @@ class TestForwardOnly:
         taped = peak(lambda: net.forward(Tape(), hier))
         forward_only = peak(lambda: net.predict_pair(g, hier))
         assert forward_only < 0.35 * taped, (forward_only, taped)
+
+    def test_peak_memory_within_three_edge_arrays(self):
+        # the edge MLP's (undirected edges x mlp_hidden) arrays are the largest
+        # of the pass; the edge chain rebinds one name, so two are alive at once
+        import tracemalloc
+
+        from pointlap.geometry import icosphere
+
+        cfg = ModelConfig()
+        g = build_knn(icosphere(4).vertices, k=cfg.k)
+        hier = build_hierarchy(g)
+        net = LaplacianNet(cfg, seed=0)
+        net.predict_pair(g, hier)  # builds the graph's cached incidence
+        tracemalloc.start()
+        try:
+            net.predict_pair(g, hier)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        edge_array = len(g.undirected_pairs()[0]) * cfg.mlp_hidden * 8
+        assert g.num_vertices == 2562
+        assert peak <= 3 * edge_array, peak / edge_array
 
     def test_no_tape_refuses_backward(self):
         x = Parameter("x", np.ones(3))
