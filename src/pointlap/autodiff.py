@@ -69,9 +69,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -497,24 +494,6 @@ def adamw_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
         mhat = p.m / (1.0 - beta1 ** p.step)
         vhat = p.v / (1.0 - beta2 ** p.step)
         p.data -= lr * mhat / (np.sqrt(vhat) + eps)
-
-
-class AdamW:
-    def __init__(self, params: dict, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
-        self.params = list(params.values()) if isinstance(params, dict) else list(params)
-        self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-
-    def step(self) -> None:
-        adamw_step(self.params, self.lr, self.betas[0], self.betas[1],
-                   self.eps, self.weight_decay)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
 
 
 # -- initialization -----------------------------------------------------------

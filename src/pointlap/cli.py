@@ -1,5 +1,19 @@
 """Command-line pipeline: dataset generation, training, prediction, eval, apps.
 
+Each command, and each app under ``app``, declares only the options it
+reads, so any other option is a usage error (exit 2). Besides --threads:
+
+  gen           --out --num-shapes --seed --config
+  train         --dataset --out --epochs --limit --seed --config --paper-scale
+  predict       --checkpoint --cloud --out --normalize
+  eval          --dataset --out --checkpoint | --baseline --heat-t --limit --config
+  app heat      --source --steps --dt
+  app geodesic  --source
+  app smooth    --step --iters
+  app filter    --n-modes --mode --band-start
+  app arap      --constraints --iters
+  (every app)   --out --mesh --cloud --checkpoint | --operator --k --heat-t
+
 Heavy imports happen inside the command functions so --threads can cap the
 BLAS pools before numpy loads.
 """
@@ -34,17 +48,25 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     return cfg
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _ints(text: str) -> tuple:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
-def write_manifest(out_dir: str, command: str, args: dict, seed: int | None,
-                   outputs: list, wall_time: float, config: dict | None = None) -> str:
+def write_manifest(out_dir: str, command: str, args: dict, outputs: list,
+                   wall_time: float, config: dict | None = None) -> str:
     """Atomic run manifest next to the outputs; enough to replay the run.
 
     `args` is the parsed namespace as a dict; only the options the parser
     declares are recorded, not the `fn` dispatch callback that
-    ``set_defaults`` adds. The numpy, scipy and Python versions in effect are
+    ``set_defaults`` adds. "seed" is the --seed of the commands that declare
+    one (gen, train) and null for the others. The numpy, scipy and Python versions in effect are
     recorded under "versions", and the process's peak resident set so far
     under "peak_rss_mb" (`ru_maxrss`, which Linux reports in KiB and macOS
     in bytes).
@@ -58,7 +80,7 @@ def write_manifest(out_dir: str, command: str, args: dict, seed: int | None,
     manifest = {
         "command": command,
         "args": {k: v for k, v in sorted(args.items()) if not callable(v)},
-        "seed": seed,
+        "seed": args.get("seed"),
         "config": config or {},
         "version": __version__,
         "versions": {"numpy": numpy.__version__, "scipy": scipy.__version__,
@@ -111,9 +133,7 @@ def train_config_from_ini(cfg: configparser.ConfigParser, seed: int,
                           paper_scale: bool = False):
     from .training import TrainConfig
 
-    base = TrainConfig(seed=seed)
-    if paper_scale:
-        base = TrainConfig(epochs=500, batch_size=8, spectral_count=64, seed=seed)
+    base = TrainConfig.paper_scale(seed) if paper_scale else TrainConfig(seed=seed)
     return _from_section(cfg, "training", base)
 
 
@@ -162,7 +182,10 @@ def generate_dataset(out_dir: str, num_shapes: int, seed: int,
 
 
 def load_dataset(dataset_dir: str, model_cfg=None, limit: int | None = None) -> list:
-    """Read shapes back into TrainingSamples; validates ground-truth row sums and masses."""
+    """Read the first `limit` shapes (all when None) back into TrainingSamples;
+    validates ground-truth row sums and masses."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     import numpy as np
 
     from .knn import build_knn
@@ -177,7 +200,7 @@ def load_dataset(dataset_dir: str, model_cfg=None, limit: int | None = None) -> 
     with open(os.path.join(dataset_dir, "index.json"), "r", encoding="utf-8") as f:
         index = json.load(f)
     samples = []
-    shapes = index["shapes"][:limit] if limit else index["shapes"]
+    shapes = index["shapes"] if limit is None else index["shapes"][:limit]
     for entry in shapes:
         shape_dir = os.path.join(dataset_dir, "shapes", entry["name"])
         mesh = load_obj(os.path.join(shape_dir, "mesh.obj"))
@@ -205,7 +228,7 @@ def cmd_gen(args) -> int:
     t0 = time.perf_counter()
     cfg = _read_config(args.config)
     sec = _section(cfg, "dataset", ("num_shapes", "kinds", "min_resolution", "max_resolution"))
-    num = args.num_shapes or int(sec.get("num_shapes", 20))
+    num = args.num_shapes if args.num_shapes is not None else int(sec.get("num_shapes", 20))
     kinds = tuple(sec.get("kinds", "").replace(",", " ").split()) or None
     index = generate_dataset(
         args.out, num, args.seed,
@@ -214,7 +237,7 @@ def cmd_gen(args) -> int:
         kinds=kinds,
     )
     outputs = [os.path.join(args.out, "index.json")]
-    write_manifest(args.out, "gen", vars(args), args.seed, outputs,
+    write_manifest(args.out, "gen", vars(args), outputs,
                    time.perf_counter() - t0, {"num_shapes": num})
     print(f"wrote {len(index['shapes'])} shapes to {args.out}")
     return 0
@@ -225,7 +248,7 @@ def cmd_train(args) -> int:
     cfg = _read_config(args.config)
     model_cfg = model_config_from_ini(cfg, args.paper_scale)
     train_cfg = train_config_from_ini(cfg, args.seed, args.paper_scale)
-    if args.epochs:
+    if args.epochs is not None:
         train_cfg = replace(train_cfg, epochs=args.epochs)
     samples = load_dataset(args.dataset, model_cfg, limit=args.limit)
     os.makedirs(args.out, exist_ok=True)
@@ -243,7 +266,7 @@ def cmd_train(args) -> int:
         return 1
     write_log_csv(log_path, result.log)
     outputs = [log_path, os.path.join(args.out, "checkpoint_final")]
-    write_manifest(args.out, "train", vars(args), args.seed, outputs,
+    write_manifest(args.out, "train", vars(args), outputs,
                    time.perf_counter() - t0,
                    {"model": model_cfg.to_dict(), "training": train_cfg.to_dict(),
                     "level_points": [sum(s.hier.levels[i].graph.num_vertices for s in samples)
@@ -295,8 +318,8 @@ def cmd_predict(args) -> int:
                    "levels": [level.graph.num_vertices for level in hier.levels],
                    "voxel_sizes": [pool.voxel_size for pool in hier.pools],
                    "stage_s": stage_s}, f, indent=1, sort_keys=True)
-    write_manifest(args.out, "predict", vars(args), args.seed,
-                   [l_path, m_path, sidecar], time.perf_counter() - t0)
+    write_manifest(args.out, "predict", vars(args), [l_path, m_path, sidecar],
+                   time.perf_counter() - t0)
     print(f"predicted operator for {pair.n} points -> {args.out}")
     return 0
 
@@ -325,7 +348,7 @@ def cmd_eval(args) -> int:
         model_cfg = model.config
         source = "learned"
     else:
-        model_cfg = model_config_from_ini(cfg, args.paper_scale)
+        model_cfg = model_config_from_ini(cfg)
         source = args.baseline
     samples = load_dataset(args.dataset, model_cfg, limit=args.limit)
 
@@ -354,120 +377,141 @@ def cmd_eval(args) -> int:
             f.write(f"{kind},(mean),{float(m[0])!r},{float(m[1])!r},{float(m[2])!r}\n")
         m = np.mean([(r[2], r[3], r[4]) for r in rows], axis=0)
         f.write(f"total,,{float(m[0])!r},{float(m[1])!r},{float(m[2])!r}\n")
-    write_manifest(args.out, "eval", vars(args), args.seed, [path],
-                   time.perf_counter() - t0)
+    write_manifest(args.out, "eval", vars(args), [path], time.perf_counter() - t0)
     print(f"evaluated {len(rows)} shapes with source={source}: "
           f"total mse {m[0]:.4f}, r>1 {m[1]:.3%}, sparsity {m[2]:.2f}")
     return 0
 
 
-def cmd_app(args) -> int:
-    t0 = time.perf_counter()
-    import numpy as np
+# -- apps ---------------------------------------------------------------------
 
-    from .apps import (DeformationConstraints, arap_deform, geodesic_heat,
-                       heat_diffuse, laplacian_smooth, spectral_filter)
+class UsageError(Exception):
+    """A command line the parser accepts but the command cannot run (exit 2)."""
+
+
+def _app_inputs(args, source: int | None = None):
+    """The --mesh (else --cloud) geometry, which `source` must index when
+    given, the --checkpoint or --operator pair on it, and the KNN graph the
+    pair was built on (None for the cotangent pair)."""
     from .knn import build_knn
     from .laplacian import cotangent_laplacian, heat_kernel_laplacian, uniform_laplacian
-    from .meshio import load_mesh, save_ply, scalar_to_colors
+    from .meshio import load_mesh
 
-    mesh = load_mesh(args.mesh) if args.mesh else None
-    if mesh is None and args.cloud:
-        mesh = load_mesh(args.cloud)
-    if mesh is None:
-        print("error: --mesh or --cloud is required", file=sys.stderr)
-        return 2
-    if args.subcommand in ("heat", "geodesic") and not 0 <= args.source < mesh.num_vertices:
-        print(f"error: --source must lie in [0, {mesh.num_vertices})", file=sys.stderr)
-        return 2
-    amplify = args.subcommand == "filter" and args.mode == "amplify"
-    if amplify and not 0 <= args.band_start < args.n_modes:
-        print(f"error: --band-start must lie in [0, {args.n_modes})", file=sys.stderr)
-        return 2
-    if args.subcommand == "arap" and args.constraints is None:
-        print("error: arap needs --constraints", file=sys.stderr)
-        return 2
-    points = mesh.vertices
-    graph = None
-    model = None
+    if not (args.mesh or args.cloud):
+        raise UsageError("--mesh or --cloud is required")
+    mesh = load_mesh(args.mesh or args.cloud)
+    if source is not None and not 0 <= source < mesh.num_vertices:
+        raise UsageError(f"--source must lie in [0, {mesh.num_vertices})")
     if args.checkpoint:
         from .model import load_model
         model, _ = load_model(args.checkpoint)
-        graph = build_knn(points, k=model.config.k)
-        pair = model.predict_pair(graph)
-    elif args.operator == "cotangent":
+        graph = build_knn(mesh.vertices, k=model.config.k)
+        return mesh, model.predict_pair(graph), graph
+    if args.operator == "cotangent":
         if mesh.num_triangles == 0:
-            print("error: cotangent operator needs a triangle mesh", file=sys.stderr)
-            return 2
-        pair = cotangent_laplacian(mesh)
-    else:
-        graph = build_knn(points, k=args.k)
-        if args.operator == "uniform":
-            pair = uniform_laplacian(graph)
-        else:
-            pair = heat_kernel_laplacian(graph, args.heat_t)
+            raise UsageError("cotangent operator needs a triangle mesh")
+        return mesh, cotangent_laplacian(mesh), None
+    graph = build_knn(mesh.vertices, k=args.k)
+    if args.operator == "uniform":
+        return mesh, uniform_laplacian(graph), graph
+    return mesh, heat_kernel_laplacian(graph, args.heat_t), graph
+
+
+def _app_finish(args, t0: float, stem: str, points, field=None) -> int:
+    """Write `points` to OUT/stem.ply, colored by `field` when given, whose
+    values then also go to OUT/stem.csv; then the run manifest."""
+    from .meshio import save_ply, scalar_to_colors
 
     os.makedirs(args.out, exist_ok=True)
-    outputs = []
-
-    def dump_field(stem: str, field: np.ndarray):
-        ply = os.path.join(args.out, stem + ".ply")
-        csv = os.path.join(args.out, stem + ".csv")
-        save_ply(ply, points, colors=scalar_to_colors(field))
-        with open(csv, "w", encoding="ascii") as f:
+    outputs = [os.path.join(args.out, stem + ".ply")]
+    if field is None:
+        save_ply(outputs[0], points)
+    else:
+        save_ply(outputs[0], points, colors=scalar_to_colors(field))
+        outputs.append(os.path.join(args.out, stem + ".csv"))
+        with open(outputs[1], "w", encoding="ascii") as f:
             f.write("vertex,value\n")
             for i, val in enumerate(field):
                 f.write(f"{i},{float(val)!r}\n")
-        outputs.extend([ply, csv])
-
-    if args.subcommand == "heat":
-        u0 = np.zeros(pair.n)
-        u0[args.source] = 1.0
-        u = heat_diffuse(pair, u0, dt=args.dt, steps=args.steps)
-        dump_field("heat", u)
-    elif args.subcommand == "geodesic":
-        if mesh.num_triangles == 0:
-            print("error: geodesic needs a companion triangle mesh", file=sys.stderr)
-            return 2
-        phi = geodesic_heat(mesh, pair, args.source)
-        dump_field("geodesic", phi)
-    elif args.subcommand == "smooth":
-        cloud = laplacian_smooth(points, pair, step=args.step, iters=args.iters)
-        out_ply = os.path.join(args.out, "smoothed.ply")
-        save_ply(out_ply, cloud)
-        outputs.append(out_ply)
-    elif args.subcommand == "filter":
-        n_modes = args.n_modes
-        if args.mode == "lowpass":
-            filtered = spectral_filter(pair, points, 1.0, n_modes, residual="drop")
-        elif args.mode == "highpass":
-            filtered = spectral_filter(pair, points, 0.7, n_modes, residual="keep")
-        elif args.mode == "amplify":
-            gains = np.ones(n_modes)
-            gains[args.band_start:] = 2.0
-            filtered = spectral_filter(pair, points, gains, n_modes, residual="keep")
-        else:
-            filtered = spectral_filter(pair, points, 1.0, n_modes, residual="keep")
-        out_ply = os.path.join(args.out, "filtered.ply")
-        save_ply(out_ply, filtered)
-        outputs.append(out_ply)
-    elif args.subcommand == "arap":
-        with open(args.constraints, "r", encoding="utf-8") as f:
-            spec = json.load(f)
-        fixed = np.asarray(spec["fixed"], dtype=np.int64)
-        handles = np.asarray(spec.get("handle_indices", []), dtype=np.int64)
-        targets = np.asarray(spec.get("handle_targets", []), dtype=np.float64).reshape(-1, 3)
-        constraints = DeformationConstraints(fixed, points[fixed], handles, targets)
-        if graph is None:
-            graph = build_knn(points, k=args.k)
-        cloud = arap_deform(points, graph, pair, constraints, iters=args.iters)
-        out_ply = os.path.join(args.out, "deformed.ply")
-        save_ply(out_ply, cloud)
-        outputs.append(out_ply)
-    write_manifest(args.out, f"app {args.subcommand}", vars(args), args.seed,
-                   outputs, time.perf_counter() - t0)
+    write_manifest(args.out, f"app {args.subcommand}", vars(args), outputs,
+                   time.perf_counter() - t0)
     print(f"app {args.subcommand}: wrote {len(outputs)} files to {args.out}")
     return 0
+
+
+def app_heat(args) -> int:
+    t0 = time.perf_counter()
+    import numpy as np
+
+    from .apps import heat_diffuse
+
+    mesh, pair, _ = _app_inputs(args, args.source)
+    u0 = np.zeros(pair.n)
+    u0[args.source] = 1.0
+    u = heat_diffuse(pair, u0, dt=args.dt, steps=args.steps)
+    return _app_finish(args, t0, "heat", mesh.vertices, u)
+
+
+def app_geodesic(args) -> int:
+    t0 = time.perf_counter()
+    from .apps import geodesic_heat
+
+    mesh, pair, _ = _app_inputs(args, args.source)
+    if mesh.num_triangles == 0:
+        raise UsageError("geodesic needs a companion triangle mesh")
+    phi = geodesic_heat(mesh, pair, args.source)
+    return _app_finish(args, t0, "geodesic", mesh.vertices, phi)
+
+
+def app_smooth(args) -> int:
+    t0 = time.perf_counter()
+    from .apps import laplacian_smooth
+
+    mesh, pair, _ = _app_inputs(args)
+    cloud = laplacian_smooth(mesh.vertices, pair, step=args.step, iters=args.iters)
+    return _app_finish(args, t0, "smoothed", cloud)
+
+
+def app_filter(args) -> int:
+    t0 = time.perf_counter()
+    import numpy as np
+
+    from .apps import spectral_filter
+
+    if args.mode == "amplify" and not 0 <= args.band_start < args.n_modes:
+        raise UsageError(f"--band-start must lie in [0, {args.n_modes})")
+    mesh, pair, _ = _app_inputs(args)
+    if args.mode == "amplify":
+        gains = np.ones(args.n_modes)
+        gains[args.band_start:] = 2.0
+    else:
+        gains = 0.7 if args.mode == "highpass" else 1.0
+    residual = "drop" if args.mode == "lowpass" else "keep"
+    filtered = spectral_filter(pair, mesh.vertices, gains, args.n_modes, residual=residual)
+    return _app_finish(args, t0, "filtered", filtered)
+
+
+def app_arap(args) -> int:
+    t0 = time.perf_counter()
+    import numpy as np
+
+    from .apps import DeformationConstraints, arap_deform
+    from .knn import build_knn
+
+    if args.constraints is None:
+        raise UsageError("arap needs --constraints")
+    mesh, pair, graph = _app_inputs(args)
+    points = mesh.vertices
+    with open(args.constraints, "r", encoding="utf-8") as f:
+        spec = json.load(f)
+    fixed = np.asarray(spec["fixed"], dtype=np.int64)
+    handles = np.asarray(spec.get("handle_indices", []), dtype=np.int64)
+    targets = np.asarray(spec.get("handle_targets", []), dtype=np.float64).reshape(-1, 3)
+    constraints = DeformationConstraints(fixed, points[fixed], handles, targets)
+    if graph is None:
+        graph = build_knn(points, k=args.k)
+    cloud = arap_deform(points, graph, pair, constraints, iters=args.iters)
+    return _app_finish(args, t0, "deformed", cloud)
 
 
 # -- parser -------------------------------------------------------------------
@@ -478,68 +522,86 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learned Laplacian operators for point clouds on KNN graphs.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--threads", type=_positive_int, help="BLAS threads (every command)")
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--paper-scale", action="store_true",
-                       help="use full-size network and training settings")
-
-    p = sub.add_parser("gen", help="generate a synthetic dataset")
-    common(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--num-shapes", type=int, default=None)
+    p = sub.add_parser("gen", parents=[common], help="generate a synthetic dataset")
+    p.add_argument("--out", required=True, help="dataset directory")
+    p.add_argument("--num-shapes", type=_positive_int, help="default: [dataset] num_shapes or 20")
+    p.add_argument("--seed", type=int, default=0, help="seed of the shapes and resolutions")
+    p.add_argument("--config", help="INI file; gen reads [dataset]")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("train", help="train the operator network")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None, help="use only the first N shapes")
+    p = sub.add_parser("train", parents=[common], help="train the operator network")
+    p.add_argument("--dataset", required=True, help="directory written by gen")
+    p.add_argument("--out", required=True, help="run directory: log and checkpoints")
+    p.add_argument("--epochs", type=_positive_int, help="default: [training] epochs")
+    p.add_argument("--limit", type=_positive_int, help="use only the first N shapes")
+    p.add_argument("--seed", type=int, default=0, help="seed of init, split, shuffle, probes")
+    p.add_argument("--config", help="INI file; train reads [model] and [training]")
+    p.add_argument("--paper-scale", action="store_true",
+                   help="start from the published network and training sizes")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("predict", help="predict L and M for a point cloud")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--cloud", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--normalize", action="store_true")
+    p = sub.add_parser("predict", parents=[common], help="predict L and M for a point cloud")
+    p.add_argument("--checkpoint", required=True, help="checkpoint directory written by train")
+    p.add_argument("--cloud", required=True, help="input cloud or mesh (.ply, .obj)")
+    p.add_argument("--out", required=True, help="directory for L.mtx, M.txt and pair.json")
+    p.add_argument("--normalize", action="store_true", help="fit the cloud into the unit box")
     p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("eval", help="evaluate an operator source on a dataset")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("eval", parents=[common], help="evaluate an operator source on a dataset")
+    p.add_argument("--dataset", required=True, help="directory written by gen")
+    p.add_argument("--out", required=True, help="directory for metrics.csv")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--checkpoint")
-    group.add_argument("--baseline", choices=("uniform", "heat", "cotangent"))
-    p.add_argument("--heat-t", type=float, default=None)
-    p.add_argument("--limit", type=int, default=None)
+    group.add_argument("--checkpoint", help="evaluate this checkpoint's learned operator")
+    group.add_argument("--baseline", choices=("uniform", "heat", "cotangent"),
+                       help="evaluate this baseline operator")
+    p.add_argument("--heat-t", type=float, help="heat-kernel time of --baseline heat")
+    p.add_argument("--limit", type=_positive_int, help="use only the first N shapes")
+    p.add_argument("--config", help="INI file; eval reads [model] k for a --baseline")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("app", help="run a geometry-processing application")
-    common(p)
-    p.add_argument("subcommand", choices=("heat", "geodesic", "smooth", "filter", "arap"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--mesh", default=None)
-    p.add_argument("--cloud", default=None)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--operator", choices=("cotangent", "uniform", "heat"), default="cotangent")
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--heat-t", type=float, default=None)
-    p.add_argument("--source", type=int, default=0)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--step", type=float, default=0.5)
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--n-modes", type=int, default=20)
-    p.add_argument("--band-start", type=int, default=10)
+    shared = argparse.ArgumentParser(add_help=False, parents=[common])
+    shared.add_argument("--out", required=True, help="output directory")
+    shared.add_argument("--mesh", help="input mesh (.obj, .ply)")
+    shared.add_argument("--cloud", help="input cloud, read when --mesh is not given")
+    group = shared.add_mutually_exclusive_group()
+    group.add_argument("--checkpoint", help="use this checkpoint's learned operator")
+    group.add_argument("--operator", choices=("cotangent", "uniform", "heat"), default="cotangent",
+                       help="operator used without --checkpoint (default: cotangent)")
+    shared.add_argument("--k", type=int, default=8,
+                        help="KNN size of --operator uniform|heat and of arap's cotangent graph")
+    shared.add_argument("--heat-t", type=float, help="heat-kernel time of --operator heat")
+    apps = sub.add_parser("app", help="run a geometry-processing application").add_subparsers(
+        dest="subcommand", required=True)
+
+    p = apps.add_parser("heat", parents=[shared], help="heat diffusion from one vertex")
+    p.add_argument("--source", type=int, default=0, help="vertex holding the initial heat")
+    p.add_argument("--steps", type=int, default=1000, help="explicit Euler steps")
+    p.add_argument("--dt", type=float, default=1e-3, help="time step")
+    p.set_defaults(fn=app_heat)
+
+    p = apps.add_parser("geodesic", parents=[shared], help="heat-method geodesic distance")
+    p.add_argument("--source", type=int, default=0, help="vertex the distance starts from")
+    p.set_defaults(fn=app_geodesic)
+
+    p = apps.add_parser("smooth", parents=[shared], help="Laplacian smoothing of positions")
+    p.add_argument("--step", type=float, default=0.5, help="diffusion step in (0, 1]")
+    p.add_argument("--iters", type=int, default=10, help="smoothing iterations")
+    p.set_defaults(fn=app_smooth)
+
+    p = apps.add_parser("filter", parents=[shared], help="spectral filtering of positions")
+    p.add_argument("--n-modes", type=int, default=20, help="eigenmodes filtered")
     p.add_argument("--mode", choices=("lowpass", "highpass", "amplify", "allpass"),
-                   default="lowpass")
-    p.add_argument("--constraints", default=None, help="JSON constraint file for arap")
-    p.set_defaults(fn=cmd_app)
+                   default="lowpass", help="how the first --n-modes modes are rescaled")
+    p.add_argument("--band-start", type=int, default=10, help="first mode --mode amplify doubles")
+    p.set_defaults(fn=app_filter)
+
+    p = apps.add_parser("arap", parents=[shared], help="as-rigid-as-possible deformation")
+    p.add_argument("--constraints", help="JSON: fixed, handle_indices, handle_targets")
+    p.add_argument("--iters", type=int, default=10, help="local/global iterations")
+    p.set_defaults(fn=app_arap)
     return parser
 
 
@@ -548,6 +610,9 @@ def main(argv=None) -> int:
     _apply_threads(args.threads)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

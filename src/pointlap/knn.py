@@ -87,7 +87,9 @@ class KnnGraph:
 
 
 def build_knn(points, k: int = 8) -> KnnGraph:
-    """Symmetrized KNN graph; requires at least k + 1 points."""
+    """Symmetrized KNN graph; requires k >= 1 and at least k + 1 points."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     pts = points.points if isinstance(points, PointCloud) else np.asarray(points, dtype=np.float64)
     pts = pts.reshape(-1, 3)
     n = len(pts)

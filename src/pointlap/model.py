@@ -41,6 +41,8 @@ class ModelConfig:
             raise ValueError("the U-Net has exactly three levels")
         if any(b < 1 for b in self.blocks):
             raise ValueError("every level needs at least one residual block")
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
         for c in (*self.enc_channels, *self.dec_channels):
             if c % self.gn_groups != 0:
                 raise ValueError(f"channel width {c} not divisible by {self.gn_groups} groups")

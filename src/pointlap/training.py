@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamW, Tape, Tensor
+from .autodiff import Tape, Tensor
 from .geometry import Mesh, points_from_mesh
 from .knn import KnnGraph, build_knn
 from .laplacian import LaplacianPair, cotangent_laplacian
@@ -41,6 +41,15 @@ class TrainConfig:
     holdout_fraction: float = 0.2
     checkpoint_every: int = 50
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
+    @staticmethod
+    def paper_scale(seed: int = 0) -> "TrainConfig":
+        return TrainConfig(epochs=500, batch_size=8, spectral_count=64, seed=seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -181,7 +190,6 @@ def train(samples: list, model_cfg: ModelConfig | None = None,
     model_cfg = model_cfg or ModelConfig()
     cfg = cfg or TrainConfig()
     model = LaplacianNet(model_cfg, seed=cfg.seed)
-    opt = AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     train_idx, hold_idx = split_dataset(len(samples), cfg.holdout_fraction, cfg.seed)
     if train_idx.size == 0:
         train_idx, hold_idx = hold_idx, train_idx
@@ -194,12 +202,12 @@ def train(samples: list, model_cfg: ModelConfig | None = None,
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE70C]))
     result = TrainResult(model=model, train_indices=train_idx, holdout_indices=hold_idx)
     for epoch in range(cfg.epochs):
-        opt.lr = cfg.lr * (1.0 - epoch / cfg.epochs)
+        lr = cfg.lr * (1.0 - epoch / cfg.epochs)
         order = train_idx[shuffle_rng.permutation(train_idx.size)]
         lap_sum = mass_sum = total_sum = 0.0
         for start in range(0, order.size, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            opt.zero_grad()
+            model.zero_grad()
             for i in batch:
                 s = samples[int(i)]
                 tape = Tape()
@@ -218,7 +226,7 @@ def train(samples: list, model_cfg: ModelConfig | None = None,
                 lap_sum += lap.item()
                 mass_sum += massl.item()
                 total_sum += total.item()
-            opt.step()
+            ad.adamw_step(model.params.values(), lr, weight_decay=cfg.weight_decay)
         holdout_mse = float("nan")
         if hold_idx.size:
             mses = [evaluate(model.predict_pair(samples[int(i)].graph, samples[int(i)].hier),
@@ -227,7 +235,7 @@ def train(samples: list, model_cfg: ModelConfig | None = None,
             holdout_mse = float(np.mean(mses))
         row = {
             "epoch": epoch,
-            "lr": opt.lr,
+            "lr": lr,
             "loss_laplacian": lap_sum / order.size,
             "loss_mass": mass_sum / order.size,
             "loss_total": total_sum / order.size,

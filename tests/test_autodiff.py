@@ -4,7 +4,7 @@ from scipy.sparse import csr_array
 
 from helpers import op_gradcheck, rel_err
 from pointlap import autodiff as ad
-from pointlap.autodiff import (NO_TAPE, AdamW, NonFiniteError, Parameter, Tape, Tensor,
+from pointlap.autodiff import (NO_TAPE, NonFiniteError, Parameter, Tape, Tensor,
                                adamw_step, kaiming_uniform, load_checkpoint, save_checkpoint)
 
 
@@ -421,14 +421,12 @@ class TestAdamW:
         with pytest.raises(ValueError):
             adamw_step([p], lr=1e-3)
 
-    def test_optimizer_wrapper(self):
+    def test_step_counts_each_update(self):
         p = Parameter("p", np.array([1.0]))
-        opt = AdamW({"p": p}, lr=1e-3)
         p.grad = np.array([1.0])
-        opt.step()
-        assert p.step == 1
-        opt.zero_grad()
-        assert p.grad is None
+        adamw_step([p], lr=1e-3)
+        adamw_step([p], lr=1e-3)
+        assert p.step == 2
 
 
 class TestInitAndCheckpoints:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -74,8 +75,7 @@ def test_gen_manifest_records_declared_options(tiny_cfg_file, tmp_path):
     with open(os.path.join(out, "run_manifest.json")) as f:
         manifest = json.load(f)
     args = manifest["args"]
-    assert set(args) == {"command", "out", "seed", "threads", "config",
-                         "num_shapes", "paper_scale"}
+    assert set(args) == {"command", "out", "seed", "threads", "config", "num_shapes"}
     assert (args["out"], args["seed"], args["threads"]) == (out, 5, 1)
     assert (args["config"], args["num_shapes"]) == (tiny_cfg_file, 1)
     assert not any(callable(v) for v in args.values())
@@ -356,11 +356,13 @@ def test_app_rejects_negative_iters(tmp_path, capsys, subcommand):
 
     mesh_path = str(tmp_path / "plane.obj")
     save_obj(mesh_path, grid_plane(8, 8))
-    cpath = tmp_path / "cons.json"
-    cpath.write_text(json.dumps({"fixed": [0, 1, 2]}))
     out = str(tmp_path / "o")
-    assert main(["app", subcommand, "--mesh", mesh_path, "--constraints", str(cpath),
-                 "--iters=-3", "--out", out]) == 1
+    argv = ["app", subcommand, "--mesh", mesh_path, "--iters=-3", "--out", out]
+    if subcommand == "arap":
+        cpath = tmp_path / "cons.json"
+        cpath.write_text(json.dumps({"fixed": [0, 1, 2]}))
+        argv += ["--constraints", str(cpath)]
+    assert main(argv) == 1
     assert "iters must be non-negative" in capsys.readouterr().err
 
 
@@ -460,3 +462,128 @@ print(json.dumps(counts))
     if not counts:
         pytest.skip("no OpenBLAS thread count can be queried here")
     assert set(counts.values()) == {1}, counts
+
+
+# -- the parser declares exactly the options each command reads ---------------
+
+APP_SHARED = {"--threads", "--out", "--mesh", "--cloud", "--checkpoint", "--operator",
+              "--k", "--heat-t"}
+SURFACE = {
+    "gen": {"--threads", "--out", "--num-shapes", "--seed", "--config"},
+    "train": {"--threads", "--dataset", "--out", "--epochs", "--limit", "--seed",
+              "--config", "--paper-scale"},
+    "predict": {"--threads", "--checkpoint", "--cloud", "--out", "--normalize"},
+    "eval": {"--threads", "--dataset", "--out", "--checkpoint", "--baseline", "--heat-t",
+             "--limit", "--config"},
+    "app heat": APP_SHARED | {"--source", "--steps", "--dt"},
+    "app geodesic": APP_SHARED | {"--source"},
+    "app smooth": APP_SHARED | {"--step", "--iters"},
+    "app filter": APP_SHARED | {"--n-modes", "--mode", "--band-start"},
+    "app arap": APP_SHARED | {"--constraints", "--iters"},
+}
+
+
+def _surface(parser, command=()):
+    """{command line prefix: its options} over the leaf parsers, help excluded."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                out.update(_surface(child, command + (name,)))
+    if command and not out:
+        out[" ".join(command)] = {action.option_strings[-1] for action in parser._actions
+                                  if action.option_strings and action.dest != "help"}
+    return out
+
+
+def test_parser_surface_is_pinned():
+    from pointlap.cli import build_parser
+
+    surface = _surface(build_parser())
+    assert surface == SURFACE
+    assert sum(len(options) for options in surface.values()) == 77
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--seed", "1", "--checkpoint", "c", "--cloud", "p.ply", "--out", "o"],
+    ["gen", "--paper-scale", "--out", "o"],
+    ["app", "heat", "--n-modes", "5", "--mesh", "m.obj", "--out", "o"],
+    ["app", "smooth", "--checkpoint", "X", "--operator", "uniform", "--mesh", "m.obj",
+     "--out", "o"],
+])
+def test_undeclared_option_exits_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not os.path.exists("o")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--out", "o", "--num-shapes", "0"],
+    ["train", "--dataset", "d", "--out", "o", "--epochs", "0"],
+    ["train", "--dataset", "d", "--out", "o", "--limit", "0"],
+    ["predict", "--checkpoint", "c", "--cloud", "p.ply", "--out", "o", "--threads", "0"],
+])
+def test_count_options_reject_zero(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 1, got 0" in capsys.readouterr().err
+    assert not os.path.exists("o")
+
+
+def test_load_dataset_rejects_zero_limit(dataset_dir):
+    with pytest.raises(ValueError, match="limit"):
+        load_dataset(dataset_dir, ModelConfig(), limit=0)
+
+
+def test_train_limit_and_epochs_are_read(dataset_dir, tiny_cfg_file, tmp_path):
+    out = str(tmp_path / "run")
+    assert main(["train", "--dataset", dataset_dir, "--out", out, "--config", tiny_cfg_file,
+                 "--epochs", "1", "--limit", "2", "--threads", "1"]) == 0
+    assert len(open(os.path.join(out, "log.csv")).read().splitlines()) == 2
+    manifest = json.load(open(os.path.join(out, "run_manifest.json")))
+    with open(os.path.join(dataset_dir, "index.json")) as f:
+        sizes = [entry["n_vertices"] for entry in json.load(f)["shapes"]]
+    assert manifest["config"]["level_points"][0] == sum(sizes[:2])
+
+
+@pytest.mark.parametrize("section,key", [("training", "epochs"), ("training", "batch_size"),
+                                         ("model", "k")])
+def test_ini_rejects_zero_counts(dataset_dir, tmp_path, capsys, section, key):
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text(f"[{section}]\n{key} = 0\n")
+    out = str(tmp_path / "out")
+    assert main(["train", "--dataset", dataset_dir, "--out", out, "--config", str(cfg)]) == 1
+    assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_app_rejects_k_zero(tmp_path, capsys):
+    from pointlap.geometry import grid_plane
+    from pointlap.meshio import save_obj
+
+    mesh_path = str(tmp_path / "plane.obj")
+    save_obj(mesh_path, grid_plane(8, 8))
+    out = str(tmp_path / "o")
+    assert main(["app", "smooth", "--mesh", mesh_path, "--operator", "uniform", "--k", "0",
+                 "--out", out]) == 1
+    assert "k must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_app_manifest_records_no_seed(tmp_path):
+    from pointlap.geometry import grid_plane
+    from pointlap.meshio import save_obj
+
+    mesh_path = str(tmp_path / "plane.obj")
+    save_obj(mesh_path, grid_plane(8, 8))
+    out = str(tmp_path / "o")
+    assert main(["app", "heat", "--mesh", mesh_path, "--steps", "3", "--out", out]) == 0
+    manifest = json.load(open(os.path.join(out, "run_manifest.json")))
+    assert manifest["command"] == "app heat"
+    assert manifest["seed"] is None
+    assert set(manifest["args"]) == {"command", "subcommand", "threads", "out", "mesh",
+                                     "cloud", "checkpoint", "operator", "k", "heat_t",
+                                     "source", "steps", "dt"}

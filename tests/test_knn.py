@@ -92,6 +92,12 @@ class TestBuildKnn:
         with pytest.raises(ValueError):
             build_knn(np.zeros((5, 3)), k=8)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        # k = 0 would widen the candidate query round after round up to all n points
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            build_knn(np.random.default_rng(0).random((30, 3)), k=k)
+
     def test_nonfinite_rejected(self):
         pts = np.zeros((10, 3))
         pts[3, 1] = np.inf

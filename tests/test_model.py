@@ -43,6 +43,8 @@ class TestConfig:
             ModelConfig(blocks=(0, 1, 1))
         with pytest.raises(ValueError):
             ModelConfig(enc_channels=(12, 12, 12))  # not divisible by 8 groups
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            ModelConfig(k=0)
 
     def test_round_trip_dict(self):
         cfg = ModelConfig.paper_scale()
@@ -56,6 +58,14 @@ class TestConfig:
                            {"config": old})
         with pytest.raises(ValueError, match="first_voxel_size"):
             load_model(str(tmp_path / "old"))
+
+
+def test_zero_grad_clears_every_gradient(tiny_model_config):
+    net = LaplacianNet(tiny_model_config, seed=0)
+    for p in net.params.values():
+        p.grad = np.ones_like(p.data)
+    net.zero_grad()
+    assert all(p.grad is None for p in net.params.values())
 
 
 class TestInputSignal:

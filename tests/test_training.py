@@ -158,6 +158,19 @@ def tiny_dataset(tiny_model_config, n=3):
     return samples
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_rejects_below_one(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_paper_scale(self):
+        cfg = TrainConfig.paper_scale(seed=7)
+        assert (cfg.epochs, cfg.batch_size, cfg.spectral_count, cfg.seed) == (500, 8, 64, 7)
+        assert cfg.lr == TrainConfig().lr
+
+
 class TestTrainLoop:
     def test_linear_decay_schedule(self, tiny_model_config):
         samples = tiny_dataset(tiny_model_config)
