@@ -12,7 +12,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .geometry import Mesh, PointCloud
-from .knn import KnnGraph
+from .knn import incidence
 from .laplacian import LaplacianPair
 from .sparse import SolveError, _gemm, cg_solve, eig_smallest, lambda_max_estimate
 
@@ -206,21 +206,27 @@ def _fit_rotations(cov: np.ndarray) -> np.ndarray:
     return np.transpose(vt, (0, 2, 1)) @ np.transpose(u, (0, 2, 1))
 
 
-def arap_deform(points, graph: KnnGraph, pair: LaplacianPair,
+def arap_deform(points, graph, pair: LaplacianPair,
                 constraints: DeformationConstraints, iters: int = 10,
                 return_energy: bool = False):
-    """Local/global as-rigid-as-possible deformation on the KNN 1-rings.
+    """Local/global as-rigid-as-possible deformation on the operator's 1-rings.
 
-    Edge weights w_ij come from the pair's stiffness matrix. Starts from the
-    naive Laplacian solve (identity rotations), then alternates rotation
-    fitting with the constrained global solve. The energy after each
-    iteration is asserted non-increasing (up to solver tolerance); `iters`
-    must be non-negative.
+    The 1-rings and weights are the pair's own (Sorkine & Alexa 2007): the
+    pairs u = (i, j), i < j, stored in the stiffness's upper triangle, with
+    w_u = -L_ij (`LaplacianPair.edges()`). A stored zero, a dead edge, stays a
+    pair of weight zero. So the rotation fit sees exactly the edges the
+    global solve couples, for every operator, including one not built on a
+    KNN graph. `graph` is not read; it stays positional only because the
+    benchmark's workloads still pass it, and goes once they stop.
 
-    The work runs on the graph's undirected pairs u = (i, j), i < j, through
-    its signed incidence B, (B f)_u = f_i - f_j. The weights w_u and rest
-    edges e_u = B p are formed once per call, and each iteration forms
-    R_i e_u and R_j e_u once. The right-hand side
+    Starts from the naive Laplacian solve (identity rotations), then
+    alternates rotation fitting with the constrained global solve. The energy
+    after each iteration is asserted non-increasing (up to solver tolerance);
+    `iters` must be non-negative.
+
+    The work runs on the pairs' signed incidence B, (B f)_u = f_i - f_j. The
+    weights w_u and rest edges e_u = B p are formed once per call, and each
+    iteration forms R_i e_u and R_j e_u once. The right-hand side
     b_i = sum_j w_ij/2 (R_i + R_j) e_ij uses them as b = B^T (w_u/2 (R_i + R_j) e_u):
     since e_ji = -e_ij, a pair adds its term to b_i and subtracts it from b_j.
     The energy uses them too, as sum_u w_u (|c_u - R_i e_u|^2 + |c_u - R_j e_u|^2)
@@ -260,10 +266,9 @@ def arap_deform(points, graph: KnnGraph, pair: LaplacianPair,
     except RuntimeError as err:
         raise SolveError("ARAP system is singular", float("inf")) from err
 
-    ui, uj = graph.undirected_pairs()
-    inc = graph.incidence  # (B f)_u = f_i - f_j for the pair u = (i, j)
+    ui, uj, w = pair.edges()
+    inc = incidence(ui, uj, n)  # (B f)_u = f_i - f_j for the pair u = (i, j)
     ring = abs(inc).T.tocsr()  # (n, e): vertex i sums the pairs that touch it
-    w = -l[ui, uj]
     e_rest = inc @ rest
     we = w[:, None] * e_rest
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 
 import numpy as np
 from scipy.sparse import csc_array

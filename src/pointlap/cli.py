@@ -1,18 +1,22 @@
 """Command-line pipeline: dataset generation, training, prediction, eval, apps.
 
 Each command, and each app under ``app``, declares only the options it
-reads, so any other option is a usage error (exit 2). Besides --threads:
+reads, so any other option is a usage error (exit 2). So is an option that
+only another operator or mode reads, as marked below. Besides --threads:
 
   gen           --out --num-shapes --seed --config
   train         --dataset --out --epochs --limit --seed --config --paper-scale
   predict       --checkpoint --cloud --out --normalize
-  eval          --dataset --out --checkpoint | --baseline --heat-t --limit --config
+  eval          --dataset --out --limit, and --checkpoint
+                or --baseline [--heat-t (heat only)] [--config]
   app heat      --source --steps --dt
   app geodesic  --source
   app smooth    --step --iters
-  app filter    --n-modes --mode --band-start
+  app filter    --n-modes --mode [--band-start (amplify only)]
   app arap      --constraints --iters
-  (every app)   --out --mesh --cloud --checkpoint | --operator --k --heat-t
+  (every app)   --out --mesh --cloud, and --checkpoint or --operator,
+                with --k read only by --operator uniform|heat
+                and --heat-t only by --operator heat
 
 Heavy imports happen inside the command functions so --threads can cap the
 BLAS pools before numpy loads.
@@ -224,18 +228,33 @@ def load_dataset(dataset_dir: str, model_cfg=None, limit: int | None = None) -> 
 
 # -- commands -----------------------------------------------------------------
 
+class UsageError(Exception):
+    """A command line the parser accepts but the command cannot run (exit 2)."""
+
+
 def cmd_gen(args) -> int:
     t0 = time.perf_counter()
+    from .geometry import SHAPE_KINDS
+
     cfg = _read_config(args.config)
     sec = _section(cfg, "dataset", ("num_shapes", "kinds", "min_resolution", "max_resolution"))
     num = args.num_shapes if args.num_shapes is not None else int(sec.get("num_shapes", 20))
+    lo = int(sec.get("min_resolution", 500))
+    hi = int(sec.get("max_resolution", 900))
     kinds = tuple(sec.get("kinds", "").replace(",", " ").split()) or None
-    index = generate_dataset(
-        args.out, num, args.seed,
-        min_resolution=int(sec.get("min_resolution", 500)),
-        max_resolution=int(sec.get("max_resolution", 900)),
-        kinds=kinds,
-    )
+    if num < 1:
+        raise ValueError(f"[dataset] num_shapes must be at least 1, got {num}")
+    if lo < 1:
+        raise ValueError(f"[dataset] min_resolution must be at least 1, got {lo}")
+    if hi < lo:
+        raise ValueError(f"[dataset] max_resolution must be at least min_resolution {lo}, "
+                         f"got {hi}")
+    for kind in kinds or ():
+        if kind not in SHAPE_KINDS:
+            raise ValueError(f"[dataset] kinds: unknown kind {kind!r}; known kinds: "
+                             f"{', '.join(SHAPE_KINDS)}")
+    index = generate_dataset(args.out, num, args.seed, min_resolution=lo, max_resolution=hi,
+                             kinds=kinds)
     outputs = [os.path.join(args.out, "index.json")]
     write_manifest(args.out, "gen", vars(args), outputs,
                    time.perf_counter() - t0, {"num_shapes": num})
@@ -299,11 +318,9 @@ def cmd_predict(args) -> int:
     pair = model.predict_pair(graph, hier)
     stage_s = {"knn": t_hier - t_knn, "hierarchy": t_fwd - t_hier,
                "forward_assemble": time.perf_counter() - t_fwd}
-    # operator health: each undirected edge is two off-diagonal entries, both
-    # zero when its predicted weight is, and dead edges can split the operator
-    rows, cols, vals = pair.stiffness.to_coo()
-    off = rows != cols
-    dead_fraction = float(np.mean(vals[off] == 0.0)) if off.any() else 0.0
+    # operator health: dead edges (stored zero weights) can split the operator
+    w = pair.edges()[2]
+    dead_fraction = float(np.mean(w == 0.0)) if w.size else 0.0
     components = int(pair.components()[0])
     os.makedirs(args.out, exist_ok=True)
     l_path = os.path.join(args.out, "L.mtx")
@@ -340,6 +357,10 @@ def _pair_for_sample(sample, source: str, model, heat_t: float | None):
 
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
+    if args.heat_t is not None and args.baseline != "heat":
+        raise UsageError("--heat-t is read only by --baseline heat")
+    if args.config and args.checkpoint:
+        raise UsageError("--config is read only with --baseline; the checkpoint holds its model")
     cfg = _read_config(args.config)
     model = None
     if args.checkpoint:
@@ -385,18 +406,19 @@ def cmd_eval(args) -> int:
 
 # -- apps ---------------------------------------------------------------------
 
-class UsageError(Exception):
-    """A command line the parser accepts but the command cannot run (exit 2)."""
-
-
 def _app_inputs(args, source: int | None = None):
     """The --mesh (else --cloud) geometry, which `source` must index when
-    given, the --checkpoint or --operator pair on it, and the KNN graph the
-    pair was built on (None for the cotangent pair)."""
+    given, and the --checkpoint or --operator pair on it. --k or --heat-t
+    given to an operator that does not read it is a usage error."""
     from .knn import build_knn
     from .laplacian import cotangent_laplacian, heat_kernel_laplacian, uniform_laplacian
     from .meshio import load_mesh
 
+    operator = "learned" if args.checkpoint else args.operator
+    if args.k is not None and operator not in ("uniform", "heat"):
+        raise UsageError("--k is read only by --operator uniform|heat")
+    if args.heat_t is not None and operator != "heat":
+        raise UsageError("--heat-t is read only by --operator heat")
     if not (args.mesh or args.cloud):
         raise UsageError("--mesh or --cloud is required")
     mesh = load_mesh(args.mesh or args.cloud)
@@ -405,16 +427,15 @@ def _app_inputs(args, source: int | None = None):
     if args.checkpoint:
         from .model import load_model
         model, _ = load_model(args.checkpoint)
-        graph = build_knn(mesh.vertices, k=model.config.k)
-        return mesh, model.predict_pair(graph), graph
+        return mesh, model.predict_pair(build_knn(mesh.vertices, k=model.config.k))
     if args.operator == "cotangent":
         if mesh.num_triangles == 0:
             raise UsageError("cotangent operator needs a triangle mesh")
-        return mesh, cotangent_laplacian(mesh), None
-    graph = build_knn(mesh.vertices, k=args.k)
+        return mesh, cotangent_laplacian(mesh)
+    graph = build_knn(mesh.vertices, k=8 if args.k is None else args.k)
     if args.operator == "uniform":
-        return mesh, uniform_laplacian(graph), graph
-    return mesh, heat_kernel_laplacian(graph, args.heat_t), graph
+        return mesh, uniform_laplacian(graph)
+    return mesh, heat_kernel_laplacian(graph, args.heat_t)
 
 
 def _app_finish(args, t0: float, stem: str, points, field=None) -> int:
@@ -445,7 +466,7 @@ def app_heat(args) -> int:
 
     from .apps import heat_diffuse
 
-    mesh, pair, _ = _app_inputs(args, args.source)
+    mesh, pair = _app_inputs(args, args.source)
     u0 = np.zeros(pair.n)
     u0[args.source] = 1.0
     u = heat_diffuse(pair, u0, dt=args.dt, steps=args.steps)
@@ -456,7 +477,7 @@ def app_geodesic(args) -> int:
     t0 = time.perf_counter()
     from .apps import geodesic_heat
 
-    mesh, pair, _ = _app_inputs(args, args.source)
+    mesh, pair = _app_inputs(args, args.source)
     if mesh.num_triangles == 0:
         raise UsageError("geodesic needs a companion triangle mesh")
     phi = geodesic_heat(mesh, pair, args.source)
@@ -467,7 +488,7 @@ def app_smooth(args) -> int:
     t0 = time.perf_counter()
     from .apps import laplacian_smooth
 
-    mesh, pair, _ = _app_inputs(args)
+    mesh, pair = _app_inputs(args)
     cloud = laplacian_smooth(mesh.vertices, pair, step=args.step, iters=args.iters)
     return _app_finish(args, t0, "smoothed", cloud)
 
@@ -478,12 +499,15 @@ def app_filter(args) -> int:
 
     from .apps import spectral_filter
 
-    if args.mode == "amplify" and not 0 <= args.band_start < args.n_modes:
+    band_start = 10 if args.band_start is None else args.band_start
+    if args.band_start is not None and args.mode != "amplify":
+        raise UsageError("--band-start is read only by --mode amplify")
+    if args.mode == "amplify" and not 0 <= band_start < args.n_modes:
         raise UsageError(f"--band-start must lie in [0, {args.n_modes})")
-    mesh, pair, _ = _app_inputs(args)
+    mesh, pair = _app_inputs(args)
     if args.mode == "amplify":
         gains = np.ones(args.n_modes)
-        gains[args.band_start:] = 2.0
+        gains[band_start:] = 2.0
     else:
         gains = 0.7 if args.mode == "highpass" else 1.0
     residual = "drop" if args.mode == "lowpass" else "keep"
@@ -496,21 +520,22 @@ def app_arap(args) -> int:
     import numpy as np
 
     from .apps import DeformationConstraints, arap_deform
-    from .knn import build_knn
 
     if args.constraints is None:
         raise UsageError("arap needs --constraints")
-    mesh, pair, graph = _app_inputs(args)
+    mesh, pair = _app_inputs(args)
     points = mesh.vertices
     with open(args.constraints, "r", encoding="utf-8") as f:
         spec = json.load(f)
-    fixed = np.asarray(spec["fixed"], dtype=np.int64)
+    if not isinstance(spec, dict) or "fixed" not in spec:
+        raise ValueError(f"{args.constraints}: no \"fixed\" key")
+    fixed = np.asarray(spec["fixed"], dtype=np.int64).reshape(-1)
+    if fixed.size and (fixed.min() < 0 or fixed.max() >= len(points)):
+        raise ValueError(f"{args.constraints}: \"fixed\" indices must lie in [0, {len(points)})")
     handles = np.asarray(spec.get("handle_indices", []), dtype=np.int64)
     targets = np.asarray(spec.get("handle_targets", []), dtype=np.float64).reshape(-1, 3)
     constraints = DeformationConstraints(fixed, points[fixed], handles, targets)
-    if graph is None:
-        graph = build_knn(points, k=args.k)
-    cloud = arap_deform(points, graph, pair, constraints, iters=args.iters)
+    cloud = arap_deform(points, None, pair, constraints, iters=args.iters)
     return _app_finish(args, t0, "deformed", cloud)
 
 
@@ -557,9 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--checkpoint", help="evaluate this checkpoint's learned operator")
     group.add_argument("--baseline", choices=("uniform", "heat", "cotangent"),
                        help="evaluate this baseline operator")
-    p.add_argument("--heat-t", type=float, help="heat-kernel time of --baseline heat")
+    p.add_argument("--heat-t", type=float, help="heat-kernel time, read only by --baseline heat")
     p.add_argument("--limit", type=_positive_int, help="use only the first N shapes")
-    p.add_argument("--config", help="INI file; eval reads [model] k for a --baseline")
+    p.add_argument("--config", help="INI file; a --baseline reads [model] k")
     p.set_defaults(fn=cmd_eval)
 
     shared = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -570,9 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--checkpoint", help="use this checkpoint's learned operator")
     group.add_argument("--operator", choices=("cotangent", "uniform", "heat"), default="cotangent",
                        help="operator used without --checkpoint (default: cotangent)")
-    shared.add_argument("--k", type=int, default=8,
-                        help="KNN size of --operator uniform|heat and of arap's cotangent graph")
-    shared.add_argument("--heat-t", type=float, help="heat-kernel time of --operator heat")
+    shared.add_argument("--k", type=int,
+                        help="KNN size, read only by --operator uniform|heat (default: 8)")
+    shared.add_argument("--heat-t", type=float,
+                        help="heat-kernel time, read only by --operator heat")
     apps = sub.add_parser("app", help="run a geometry-processing application").add_subparsers(
         dest="subcommand", required=True)
 
@@ -595,7 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-modes", type=int, default=20, help="eigenmodes filtered")
     p.add_argument("--mode", choices=("lowpass", "highpass", "amplify", "allpass"),
                    default="lowpass", help="how the first --n-modes modes are rescaled")
-    p.add_argument("--band-start", type=int, default=10, help="first mode --mode amplify doubles")
+    p.add_argument("--band-start", type=int,
+                   help="first mode doubled, read only by --mode amplify (default: 10)")
     p.set_defaults(fn=app_filter)
 
     p = apps.add_parser("arap", parents=[shared], help="as-rigid-as-possible deformation")

@@ -79,11 +79,15 @@ class KnnGraph:
 
     @cached_property
     def incidence(self) -> csr_array:
-        """(e_u, n) signed incidence B over `undirected_pairs()`: (B f)_k = f_i - f_j for the
-        k-th pair (i, j), exact because row k stores its +1 at i before its -1 at j."""
-        ui, uj = self.undirected_pairs()
-        return csr_array((np.tile([1.0, -1.0], len(ui)), np.c_[ui, uj].ravel(),
-                          np.arange(0, 2 * len(ui) + 1, 2)), shape=(len(ui), self.num_vertices))
+        """The signed incidence B over `undirected_pairs()`."""
+        return incidence(*self.undirected_pairs(), self.num_vertices)
+
+
+def incidence(ui: np.ndarray, uj: np.ndarray, n: int) -> csr_array:
+    """(e, n) signed incidence B of the pairs (ui, uj) on n vertices: (B f)_k = f_i - f_j for
+    the k-th pair (i, j) with i < j, exact because row k stores its +1 at i before its -1 at j."""
+    return csr_array((np.tile([1.0, -1.0], len(ui)), np.c_[ui, uj].ravel(),
+                      np.arange(0, 2 * len(ui) + 1, 2)), shape=(len(ui), n))
 
 
 def build_knn(points, k: int = 8) -> KnnGraph:

@@ -39,6 +39,13 @@ class LaplacianPair:
     def sparsity(self) -> float:
         return self.stiffness.nnz / self.n
 
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The operator's undirected edges: (i, j, w) over the stored upper triangle
+        (i < j, in row order), with w_ij = -L_ij. A stored zero is a dead edge and is kept."""
+        rows, cols, vals = self.stiffness.to_coo()
+        upper = rows < cols
+        return rows[upper], cols[upper], -vals[upper]
+
     def components(self) -> tuple[int, np.ndarray]:
         """Connected components of the stiffness graph, with stored zeros (dead edges) dropped:
         their count and each vertex's label."""

@@ -4,10 +4,11 @@ import pytest
 from helpers import dense_generalized_eigs
 from pointlap.apps import (DeformationConstraints, arap_deform, geodesic_heat,
                            heat_diffuse, laplacian_smooth, spectral_filter)
-from pointlap.geometry import (GeometryError, Mesh, grid_plane, icosphere, make_shape,
-                               normalize_unit_box)
+from pointlap.geometry import (SHAPE_KINDS, GeometryError, Mesh, grid_plane, icosphere,
+                               make_shape, normalize_unit_box)
 from pointlap.knn import build_knn
-from pointlap.laplacian import LaplacianPair, cotangent_laplacian, uniform_laplacian
+from pointlap.laplacian import (LaplacianPair, assemble_learned, cotangent_laplacian,
+                                uniform_laplacian)
 from pointlap.sparse import SolveError, SparseMatrix, cg_solve
 
 
@@ -375,6 +376,41 @@ class TestArap:
         out, energies = arap_deform(pts, graph, pair, cons, iters=30, return_energy=True)
         assert np.abs(out.points - moved).max() < 1e-8
         assert energies[-1] < 1e-12
+
+    @pytest.mark.parametrize("kind", SHAPE_KINDS)
+    def test_cotangent_rest_on_every_kind(self, kind):
+        # the rest shape has zero energy on the operator's own 1-rings; the KNN
+        # graph passed in must not be read, as its edges miss some of the mesh's
+        mesh = make_shape(kind, 700, 0)
+        pts = mesh.vertices
+        x = pts[:, np.argmax(np.ptp(pts, axis=0))]
+        fixed = np.flatnonzero(x <= np.quantile(x, 0.15))
+        handle = np.flatnonzero(x >= np.quantile(x, 0.85))
+        cons = DeformationConstraints(fixed, pts[fixed], handle, pts[handle])
+        out = arap_deform(pts, build_knn(pts, k=8), cotangent_laplacian(mesh), cons, iters=10)
+        assert np.abs(out.points - pts).max() < 1e-9
+
+    @pytest.mark.parametrize("source", ["uniform", "learned"])
+    def test_graph_argument_is_not_read(self, bar, source):
+        mesh, graph, _ = bar
+        pts = mesh.vertices
+        if source == "uniform":
+            pair = uniform_laplacian(graph)
+        else:
+            rng = np.random.default_rng(4)
+            w = rng.uniform(0.5, 1.5, graph.num_edges // 2)
+            w[::17] = 0.0  # dead edges stay in the 1-rings
+            pair = assemble_learned(graph, w, rng.uniform(0.5, 1.5, graph.num_vertices))
+        x = pts[:, 0]
+        fixed = np.flatnonzero(x < np.quantile(x, 0.1))
+        handle = np.flatnonzero(x > np.quantile(x, 0.9))
+        cons = DeformationConstraints(fixed, pts[fixed], handle,
+                                      pts[handle] + np.array([0.2, 0.3, -0.1]))
+        runs = [arap_deform(pts, g, pair, cons, iters=3, return_energy=True)
+                for g in (graph, build_knn(pts, k=4), None)]
+        for out, energies in runs[1:]:
+            assert np.array_equal(out.points, runs[0][0].points)
+            assert energies == runs[0][1]
 
     def test_unpinned_component_raises(self):
         rng = np.random.default_rng(0)

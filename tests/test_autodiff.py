@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
-from helpers import op_gradcheck, rel_err
+from helpers import op_gradcheck
 from pointlap import autodiff as ad
 from pointlap.autodiff import (NO_TAPE, NonFiniteError, Parameter, Tape, Tensor,
                                adamw_step, kaiming_uniform, load_checkpoint, save_checkpoint)

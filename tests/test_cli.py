@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from pointlap.cli import generate_dataset, load_dataset, main
+from pointlap.cli import load_dataset, main
 from pointlap.model import ModelConfig
 
 TINY_CFG = """
@@ -349,6 +349,45 @@ def test_app_arap_requires_constraints(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_app_arap_cotangent_cylinder(tmp_path):
+    # rest constraints keep the rest shape: ARAP's 1-rings are the cotangent
+    # operator's mesh edges, not a separate KNN graph's
+    from pointlap.geometry import make_shape
+    from pointlap.meshio import load_mesh, save_obj
+
+    mesh = make_shape("cylinder", 700, 0)
+    mesh_path = str(tmp_path / "cylinder.obj")
+    save_obj(mesh_path, mesh)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({"fixed": list(range(0, mesh.num_vertices, 50))}))
+    out = str(tmp_path / "o")
+    assert main(["app", "arap", "--mesh", mesh_path, "--constraints", str(cpath),
+                 "--iters", "3", "--out", out]) == 0
+    rest = load_mesh(mesh_path).vertices
+    assert np.abs(load_mesh(os.path.join(out, "deformed.ply")).vertices - rest).max() < 1e-9
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"fixed": [0, 500]}, '"fixed" indices must lie in [0, 81)'),
+    ({"handles": [1]}, 'no "fixed" key'),
+], ids=["fixed-out-of-range", "no-fixed-key"])
+def test_app_arap_rejects_malformed_constraints(tmp_path, capsys, spec, message):
+    from pointlap.geometry import grid_plane
+    from pointlap.meshio import save_obj
+
+    mesh_path = str(tmp_path / "plane.obj")
+    save_obj(mesh_path, grid_plane(8, 8))  # 81 vertices
+    cpath = tmp_path / "cons.json"
+    cpath.write_text(json.dumps(spec))
+    out = str(tmp_path / "o")
+    assert main(["app", "arap", "--mesh", mesh_path, "--constraints", str(cpath),
+                 "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"{cpath}: {message}" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("subcommand", ["smooth", "arap"])
 def test_app_rejects_negative_iters(tmp_path, capsys, subcommand):
     from pointlap.geometry import grid_plane
@@ -559,6 +598,60 @@ def test_ini_rejects_zero_counts(dataset_dir, tmp_path, capsys, section, key):
     assert main(["train", "--dataset", dataset_dir, "--out", out, "--config", str(cfg)]) == 1
     assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("ini, message", [
+    ("num_shapes = 0", "[dataset] num_shapes must be at least 1, got 0"),
+    ("min_resolution = 0", "[dataset] min_resolution must be at least 1, got 0"),
+    ("min_resolution = 900\nmax_resolution = 500",
+     "[dataset] max_resolution must be at least min_resolution 900, got 500"),
+    ("kinds = sphere, cube", "[dataset] kinds: unknown kind 'cube'"),
+], ids=["num_shapes", "min_resolution", "max_resolution", "kinds"])
+def test_gen_rejects_bad_dataset_values(tmp_path, capsys, ini, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[dataset]\n{ini}\n")
+    out = str(tmp_path / "out")
+    assert main(["gen", "--out", out, "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["app", "smooth", "--k", "4"], "--k"),
+    (["app", "smooth", "--operator", "cotangent", "--k", "4"], "--k"),
+    (["app", "smooth", "--checkpoint", "ck", "--k", "4"], "--k"),
+    (["app", "heat", "--heat-t", "0.1"], "--heat-t"),
+    (["app", "heat", "--operator", "uniform", "--heat-t", "0.1"], "--heat-t"),
+    (["app", "heat", "--checkpoint", "ck", "--heat-t", "0.1"], "--heat-t"),
+    (["app", "filter", "--band-start", "3"], "--band-start"),
+    (["app", "filter", "--mode", "highpass", "--band-start", "3"], "--band-start"),
+    (["eval", "--dataset", "d", "--baseline", "uniform", "--heat-t", "0.1"], "--heat-t"),
+    (["eval", "--dataset", "d", "--checkpoint", "ck", "--heat-t", "0.1"], "--heat-t"),
+    (["eval", "--dataset", "d", "--checkpoint", "ck", "--config", "c.ini"], "--config"),
+])
+def test_option_of_another_operator_or_mode_exits_2(tmp_path, monkeypatch, capsys, argv,
+                                                     option):
+    # no input file exists, so exit 2 (not 1) shows the check runs before any read
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "app":
+        argv = argv + ["--mesh", "m.obj"]
+    assert main(argv + ["--out", "o"]) == 2
+    assert f"{option} is read only" in capsys.readouterr().err
+    assert not os.path.exists("o")
+
+
+@pytest.mark.parametrize("argv", [
+    ["app", "smooth", "--operator", "heat", "--k", "4", "--heat-t", "0.05"],
+    ["app", "filter", "--operator", "uniform", "--mode", "amplify", "--n-modes", "6",
+     "--band-start", "3"],
+])
+def test_option_of_its_operator_or_mode_is_accepted(tmp_path, argv):
+    from pointlap.geometry import grid_plane
+    from pointlap.meshio import save_obj
+
+    mesh_path = str(tmp_path / "plane.obj")
+    save_obj(mesh_path, grid_plane(8, 8))
+    assert main(argv + ["--mesh", mesh_path, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_app_rejects_k_zero(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from helpers import dense_generalized_eigs
 from pointlap.geometry import GeometryError, Mesh, grid_plane, make_shape
 from pointlap.knn import build_knn
 from pointlap.laplacian import (LaplacianPair, assemble_learned,
@@ -170,6 +169,17 @@ class TestAssembleLearned:
         pair = assemble_learned(blob_graph, w, rng.random(blob_graph.num_vertices) + 0.5)
         dense = pair.stiffness.to_dense()
         assert np.abs(b.T @ (w[:, None] * b) - dense).max() <= 1e-15 * np.abs(dense).max()
+
+    def test_edges_are_the_graph_pairs_and_weights(self, blob_graph):
+        # w_ij = -L_ij over the stored upper triangle, in the graph's pair
+        # order, with a zero (dead) weight kept as an edge
+        ui, uj = blob_graph.undirected_pairs()
+        w = np.random.default_rng(2).random(len(ui))
+        w[::10] = 0.0
+        pair = assemble_learned(blob_graph, w, np.ones(blob_graph.num_vertices))
+        ei, ej, ew = pair.edges()
+        assert np.array_equal(ei, ui) and np.array_equal(ej, uj)
+        assert np.array_equal(ew, w)
 
     def test_nan_weight_rejected(self, blob_graph):
         w = np.ones(len(blob_graph.undirected_pairs()[0]))

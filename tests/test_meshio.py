@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pointlap.geometry import Mesh, icosphere, make_shape
+from pointlap.geometry import icosphere, make_shape
 from pointlap.meshio import (MeshParseError, load_mesh, load_obj, load_ply,
                              save_obj, save_ply, scalar_to_colors)
 

@@ -6,7 +6,6 @@ from pointlap.laplacian import cotangent_laplacian
 from pointlap.probes import (EVAL_PROBE_COUNT, SPATIAL_FREQUENCIES, ProbeMeta, ProbeSet,
                              eval_probe_set, load_probes, save_probes, spatial_probes,
                              spectral_probes)
-from pointlap.sparse import eig_smallest
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from helpers import dense_generalized_eigs, rel_err
 from pointlap.geometry import icosphere, make_shape, normalize_unit_box
 from pointlap.laplacian import assemble_learned, cotangent_laplacian, uniform_laplacian
 from pointlap.knn import build_knn
-from pointlap.sparse import (EigenPairs, SolveError, SparseMatrix, _gemm, cg_solve,
+from pointlap.sparse import (SolveError, SparseMatrix, _gemm, cg_solve,
                              eig_smallest, lambda_max_estimate,
                              load_matrix_market, load_vector,
                              save_matrix_market, save_vector, spmv)

@@ -5,11 +5,10 @@ from pointlap.autodiff import Tape
 from pointlap.geometry import make_shape, normalize_unit_box
 from pointlap.knn import build_knn
 from pointlap.laplacian import assemble_learned, uniform_laplacian
-from pointlap.model import ModelConfig, build_hierarchy
 from pointlap.probes import ProbeSet, spatial_probes
 from pointlap.sparse import SparseMatrix
 from pointlap.laplacian import LaplacianPair
-from pointlap.training import (TrainConfig, TrainingDiverged, TrainingSample,
+from pointlap.training import (TrainConfig, TrainingDiverged,
                                evaluate, laplacian_loss_on_tape, loss_laplacian,
                                loss_mass, mass_loss_on_tape, prepare_sample,
                                probe_weights, split_dataset, train,
