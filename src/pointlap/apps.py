@@ -84,10 +84,7 @@ def geodesic_heat(mesh: Mesh, pair: LaplacianPair, source: int) -> np.ndarray:
     x_field = -grad / np.where(norms > 0, norms, 1.0)
 
     # integrated divergence per vertex: one scatter of the six corner terms
-    cots = []
-    for a, b in ((p1 - p0, p2 - p0), (p2 - p1, p0 - p1), (p0 - p2, p1 - p2)):
-        cots.append(np.einsum("ij,ij->i", a, b) / np.linalg.norm(np.cross(a, b), axis=1))
-    cot0, cot1, cot2 = cots  # cot of angle at corners 0, 1, 2
+    cot0, cot1, cot2 = mesh.corner_cotangents().T  # cot of angle at corners 0, 1, 2
     opp_cot = {(0, 1): cot2, (1, 0): cot2, (1, 2): cot0, (2, 1): cot0, (0, 2): cot1, (2, 0): cot1}
     pts = (p0, p1, p2)
     idx, contribs = [], []

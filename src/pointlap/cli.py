@@ -18,8 +18,13 @@ only another operator or mode reads, as marked below. Besides --threads:
                 with --k read only by --operator uniform|heat
                 and --heat-t only by --operator heat
 
-Heavy imports happen inside the command functions so --threads can cap the
-BLAS pools before numpy loads.
+Commands and apps return (outputs, config, message), what they wrote, and
+`main` records the run: one timer, one OUT/run_manifest.json, one summary.
+Usage errors exit 2. ValueError, FileNotFoundError, FloatingPointError (a
+diverged training too) and sparse.SolveError exit 1 with one ``error:`` line
+and no manifest; any other exception propagates with its traceback. Heavy
+imports happen inside the command functions so --threads can cap the BLAS
+pools before numpy loads.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ import sys
 import time
 from dataclasses import fields, replace
 
-__version__ = "0.1.0"
+from . import __version__
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
@@ -48,8 +53,19 @@ def _read_config(path: str | None) -> configparser.ConfigParser:
     if path:
         if not os.path.exists(path):
             raise FileNotFoundError(path)
-        cfg.read(path)
+        try:
+            cfg.read(path)
+        except configparser.Error as exc:
+            raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
     return cfg
+
+
+def _convert(section: str, key: str, convert, text):
+    """`convert(text)`; a value that does not convert raises naming INI `section` and `key`."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"[{section}] {key}: {exc}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -123,7 +139,8 @@ def _from_section(cfg: configparser.ConfigParser, section: str, base):
     values = {}
     for name, text in _section(cfg, section, names).items():
         default = getattr(base, name)
-        values[name] = (_ints if isinstance(default, tuple) else type(default))(text)
+        values[name] = _convert(section, name,
+                                _ints if isinstance(default, tuple) else type(default), text)
     return replace(base, **values)
 
 
@@ -232,15 +249,14 @@ class UsageError(Exception):
     """A command line the parser accepts but the command cannot run (exit 2)."""
 
 
-def cmd_gen(args) -> int:
-    t0 = time.perf_counter()
+def cmd_gen(args) -> tuple:
     from .geometry import SHAPE_KINDS
 
     cfg = _read_config(args.config)
     sec = _section(cfg, "dataset", ("num_shapes", "kinds", "min_resolution", "max_resolution"))
-    num = args.num_shapes if args.num_shapes is not None else int(sec.get("num_shapes", 20))
-    lo = int(sec.get("min_resolution", 500))
-    hi = int(sec.get("max_resolution", 900))
+    num = args.num_shapes or _convert("dataset", "num_shapes", int, sec.get("num_shapes", 20))
+    lo = _convert("dataset", "min_resolution", int, sec.get("min_resolution", 500))
+    hi = _convert("dataset", "max_resolution", int, sec.get("max_resolution", 900))
     kinds = tuple(sec.get("kinds", "").replace(",", " ").split()) or None
     if num < 1:
         raise ValueError(f"[dataset] num_shapes must be at least 1, got {num}")
@@ -255,15 +271,11 @@ def cmd_gen(args) -> int:
                              f"{', '.join(SHAPE_KINDS)}")
     index = generate_dataset(args.out, num, args.seed, min_resolution=lo, max_resolution=hi,
                              kinds=kinds)
-    outputs = [os.path.join(args.out, "index.json")]
-    write_manifest(args.out, "gen", vars(args), outputs,
-                   time.perf_counter() - t0, {"num_shapes": num})
-    print(f"wrote {len(index['shapes'])} shapes to {args.out}")
-    return 0
+    return ([os.path.join(args.out, "index.json")], {"num_shapes": num},
+            f"wrote {len(index['shapes'])} shapes to {args.out}")
 
 
-def cmd_train(args) -> int:
-    t0 = time.perf_counter()
+def cmd_train(args) -> tuple:
     cfg = _read_config(args.config)
     model_cfg = model_config_from_ini(cfg, args.paper_scale)
     train_cfg = train_config_from_ini(cfg, args.seed, args.paper_scale)
@@ -281,23 +293,18 @@ def cmd_train(args) -> int:
         dump = os.path.join(args.out, "diverged.json")
         with open(dump, "w", encoding="utf-8") as f:
             json.dump({"error": str(exc)}, f)
-        print(f"error: {exc} (diagnostics in {dump})", file=sys.stderr)
-        return 1
+        raise FloatingPointError(f"{exc} (diagnostics in {dump})") from exc
     write_log_csv(log_path, result.log)
-    outputs = [log_path, os.path.join(args.out, "checkpoint_final")]
-    write_manifest(args.out, "train", vars(args), outputs,
-                   time.perf_counter() - t0,
-                   {"model": model_cfg.to_dict(), "training": train_cfg.to_dict(),
-                    "level_points": [sum(s.hier.levels[i].graph.num_vertices for s in samples)
-                                     for i in range(3)]})
     final = result.log[-1]
-    print(f"trained {train_cfg.epochs} epochs: total loss {final['loss_total']:.4f}, "
-          f"holdout MSE {final['holdout_mse']:.4f}")
-    return 0
+    return ([log_path, os.path.join(args.out, "checkpoint_final")],
+            {"model": model_cfg.to_dict(), "training": train_cfg.to_dict(),
+             "level_points": [sum(s.hier.levels[i].graph.num_vertices for s in samples)
+                              for i in range(3)]},
+            f"trained {train_cfg.epochs} epochs: total loss {final['loss_total']:.4f}, "
+            f"holdout MSE {final['holdout_mse']:.4f}")
 
 
-def cmd_predict(args) -> int:
-    t0 = time.perf_counter()
+def cmd_predict(args) -> tuple:
     import numpy as np
 
     from .geometry import normalize_unit_box
@@ -335,10 +342,7 @@ def cmd_predict(args) -> int:
                    "levels": [level.graph.num_vertices for level in hier.levels],
                    "voxel_sizes": [pool.voxel_size for pool in hier.pools],
                    "stage_s": stage_s}, f, indent=1, sort_keys=True)
-    write_manifest(args.out, "predict", vars(args), [l_path, m_path, sidecar],
-                   time.perf_counter() - t0)
-    print(f"predicted operator for {pair.n} points -> {args.out}")
-    return 0
+    return [l_path, m_path, sidecar], None, f"predicted operator for {pair.n} points -> {args.out}"
 
 
 def _pair_for_sample(sample, source: str, model, heat_t: float | None):
@@ -355,8 +359,7 @@ def _pair_for_sample(sample, source: str, model, heat_t: float | None):
     raise ValueError(f"unknown operator source {source!r}")
 
 
-def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
+def cmd_eval(args) -> tuple:
     if args.heat_t is not None and args.baseline != "heat":
         raise UsageError("--heat-t is read only by --baseline heat")
     if args.config and args.checkpoint:
@@ -398,10 +401,8 @@ def cmd_eval(args) -> int:
             f.write(f"{kind},(mean),{float(m[0])!r},{float(m[1])!r},{float(m[2])!r}\n")
         m = np.mean([(r[2], r[3], r[4]) for r in rows], axis=0)
         f.write(f"total,,{float(m[0])!r},{float(m[1])!r},{float(m[2])!r}\n")
-    write_manifest(args.out, "eval", vars(args), [path], time.perf_counter() - t0)
-    print(f"evaluated {len(rows)} shapes with source={source}: "
-          f"total mse {m[0]:.4f}, r>1 {m[1]:.3%}, sparsity {m[2]:.2f}")
-    return 0
+    return [path], None, (f"evaluated {len(rows)} shapes with source={source}: "
+                          f"total mse {m[0]:.4f}, r>1 {m[1]:.3%}, sparsity {m[2]:.2f}")
 
 
 # -- apps ---------------------------------------------------------------------
@@ -438,9 +439,9 @@ def _app_inputs(args, source: int | None = None):
     return mesh, heat_kernel_laplacian(graph, args.heat_t)
 
 
-def _app_finish(args, t0: float, stem: str, points, field=None) -> int:
+def _app_finish(args, stem: str, points, field=None) -> tuple:
     """Write `points` to OUT/stem.ply, colored by `field` when given, whose
-    values then also go to OUT/stem.csv; then the run manifest."""
+    values then also go to OUT/stem.csv; the app's return value."""
     from .meshio import save_ply, scalar_to_colors
 
     os.makedirs(args.out, exist_ok=True)
@@ -454,14 +455,10 @@ def _app_finish(args, t0: float, stem: str, points, field=None) -> int:
             f.write("vertex,value\n")
             for i, val in enumerate(field):
                 f.write(f"{i},{float(val)!r}\n")
-    write_manifest(args.out, f"app {args.subcommand}", vars(args), outputs,
-                   time.perf_counter() - t0)
-    print(f"app {args.subcommand}: wrote {len(outputs)} files to {args.out}")
-    return 0
+    return outputs, None, f"app {args.subcommand}: wrote {len(outputs)} files to {args.out}"
 
 
-def app_heat(args) -> int:
-    t0 = time.perf_counter()
+def app_heat(args) -> tuple:
     import numpy as np
 
     from .apps import heat_diffuse
@@ -470,31 +467,28 @@ def app_heat(args) -> int:
     u0 = np.zeros(pair.n)
     u0[args.source] = 1.0
     u = heat_diffuse(pair, u0, dt=args.dt, steps=args.steps)
-    return _app_finish(args, t0, "heat", mesh.vertices, u)
+    return _app_finish(args, "heat", mesh.vertices, u)
 
 
-def app_geodesic(args) -> int:
-    t0 = time.perf_counter()
+def app_geodesic(args) -> tuple:
     from .apps import geodesic_heat
 
     mesh, pair = _app_inputs(args, args.source)
     if mesh.num_triangles == 0:
         raise UsageError("geodesic needs a companion triangle mesh")
     phi = geodesic_heat(mesh, pair, args.source)
-    return _app_finish(args, t0, "geodesic", mesh.vertices, phi)
+    return _app_finish(args, "geodesic", mesh.vertices, phi)
 
 
-def app_smooth(args) -> int:
-    t0 = time.perf_counter()
+def app_smooth(args) -> tuple:
     from .apps import laplacian_smooth
 
     mesh, pair = _app_inputs(args)
     cloud = laplacian_smooth(mesh.vertices, pair, step=args.step, iters=args.iters)
-    return _app_finish(args, t0, "smoothed", cloud)
+    return _app_finish(args, "smoothed", cloud)
 
 
-def app_filter(args) -> int:
-    t0 = time.perf_counter()
+def app_filter(args) -> tuple:
     import numpy as np
 
     from .apps import spectral_filter
@@ -512,11 +506,10 @@ def app_filter(args) -> int:
         gains = 0.7 if args.mode == "highpass" else 1.0
     residual = "drop" if args.mode == "lowpass" else "keep"
     filtered = spectral_filter(pair, mesh.vertices, gains, args.n_modes, residual=residual)
-    return _app_finish(args, t0, "filtered", filtered)
+    return _app_finish(args, "filtered", filtered)
 
 
-def app_arap(args) -> int:
-    t0 = time.perf_counter()
+def app_arap(args) -> tuple:
     import numpy as np
 
     from .apps import DeformationConstraints, arap_deform
@@ -527,16 +520,26 @@ def app_arap(args) -> int:
     points = mesh.vertices
     with open(args.constraints, "r", encoding="utf-8") as f:
         spec = json.load(f)
+    path, n = args.constraints, len(points)
     if not isinstance(spec, dict) or "fixed" not in spec:
-        raise ValueError(f"{args.constraints}: no \"fixed\" key")
-    fixed = np.asarray(spec["fixed"], dtype=np.int64).reshape(-1)
-    if fixed.size and (fixed.min() < 0 or fixed.max() >= len(points)):
-        raise ValueError(f"{args.constraints}: \"fixed\" indices must lie in [0, {len(points)})")
-    handles = np.asarray(spec.get("handle_indices", []), dtype=np.int64)
-    targets = np.asarray(spec.get("handle_targets", []), dtype=np.float64).reshape(-1, 3)
+        raise ValueError(f"{path}: no \"fixed\" key")
+
+    def indices(key):
+        idx = np.asarray(spec.get(key, []))
+        if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
+            raise ValueError(f"{path}: \"{key}\" indices must lie in [0, {n}) and be integers")
+        return idx.astype(np.int64).reshape(-1)
+
+    fixed, handles = indices("fixed"), indices("handle_indices")
+    targets = np.asarray(spec.get("handle_targets", []))
+    well_formed = (targets.dtype.kind in "iuf" and targets.shape == (handles.size, 3)
+                   and np.isfinite(targets).all())
+    if (handles.size or targets.size) and not well_formed:
+        raise ValueError(f"{path}: \"handle_targets\" must hold {handles.size} finite [x, y, z] "
+                         "rows, one per entry of \"handle_indices\"")
     constraints = DeformationConstraints(fixed, points[fixed], handles, targets)
     cloud = arap_deform(points, None, pair, constraints, iters=args.iters)
-    return _app_finish(args, t0, "deformed", cloud)
+    return _app_finish(args, "deformed", cloud)
 
 
 # -- parser -------------------------------------------------------------------
@@ -635,14 +638,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _apply_threads(args.threads)
+    t0 = time.perf_counter()
     try:
-        return args.fn(args)
-    except UsageError as exc:
+        outputs, config, message = args.fn(args)
+    except (UsageError, FileNotFoundError, ValueError, FloatingPointError, RuntimeError) as exc:
+        from .sparse import SolveError  # numpy loads here, after --threads took effect
+
+        if isinstance(exc, RuntimeError) and not isinstance(exc, SolveError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
+    command = f"app {args.subcommand}" if args.command == "app" else args.command
+    write_manifest(args.out, command, vars(args), outputs, time.perf_counter() - t0, config)
+    print(message)
+    return 0
 
 
 if __name__ == "__main__":

@@ -64,6 +64,16 @@ class Mesh:
             np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1
         )
 
+    def corner_cotangents(self) -> np.ndarray:
+        """(m, 3) cotangent of each triangle's angle at corners 0, 1 and 2:
+        dot(u, w) / |u x w| for the two edges u, w leaving the corner."""
+        p = self.vertices[self.triangles]
+        cots = np.empty((self.num_triangles, 3))
+        for c in range(3):
+            u, w = p[:, (c + 1) % 3] - p[:, c], p[:, (c + 2) % 3] - p[:, c]
+            cots[:, c] = np.einsum("ij,ij->i", u, w) / np.linalg.norm(np.cross(u, w), axis=1)
+        return cots
+
     def nondegenerate_triangle_areas(self) -> np.ndarray:
         """Triangle areas; GeometryError names a triangle of area <= 1e-14, or there are none."""
         if self.num_triangles == 0:

@@ -80,15 +80,7 @@ def cotangent_laplacian(mesh: Mesh) -> LaplacianPair:
     t = mesh.triangles
     areas = mesh.nondegenerate_triangle_areas()
     p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-
-    # cot at corner c = dot(u, v) / |u x v| for the two edges leaving c
-    def cot_at(a, b, c):
-        u, w = b - a, c - a
-        return np.einsum("ij,ij->i", u, w) / np.linalg.norm(np.cross(u, w), axis=1)
-
-    cot0 = cot_at(p0, p1, p2)
-    cot1 = cot_at(p1, p2, p0)
-    cot2 = cot_at(p2, p0, p1)
+    cot0, cot1, cot2 = mesh.corner_cotangents().T
     n = mesh.num_vertices
     # edge opposite corner 0 is (1,2), etc.; each side contributes cot/2
     ei = np.r_[t[:, 1], t[:, 2], t[:, 0]]

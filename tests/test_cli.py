@@ -370,7 +370,16 @@ def test_app_arap_cotangent_cylinder(tmp_path):
 @pytest.mark.parametrize("spec, message", [
     ({"fixed": [0, 500]}, '"fixed" indices must lie in [0, 81)'),
     ({"handles": [1]}, 'no "fixed" key'),
-], ids=["fixed-out-of-range", "no-fixed-key"])
+    ({"fixed": [0.5]}, '"fixed" indices must lie in [0, 81) and be integers'),
+    ({"fixed": [0], "handle_indices": [500], "handle_targets": [[0, 0, 0]]},
+     '"handle_indices" indices must lie in [0, 81)'),
+    ({"fixed": [0], "handle_indices": [5], "handle_targets": [[0, 0]]},
+     '"handle_targets" must hold 1 finite [x, y, z] rows'),
+    ({"fixed": [0], "handle_indices": [5], "handle_targets": [[0, 0, float("nan")]]},
+     '"handle_targets" must hold 1 finite [x, y, z] rows'),
+    ({"fixed": [0], "handle_targets": [[0, 0, 1]]}, '"handle_targets" must hold 0 finite'),
+], ids=["fixed-out-of-range", "no-fixed-key", "fixed-not-integer", "handle-out-of-range",
+        "target-not-3d", "target-not-finite", "target-without-handle"])
 def test_app_arap_rejects_malformed_constraints(tmp_path, capsys, spec, message):
     from pointlap.geometry import grid_plane
     from pointlap.meshio import save_obj
@@ -385,6 +394,66 @@ def test_app_arap_rejects_malformed_constraints(tmp_path, capsys, spec, message)
     err = capsys.readouterr().err
     assert f"{cpath}: {message}" in err
     assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def _heat_with_unstable_step(tmp_path):
+    from pointlap.geometry import grid_plane
+    from pointlap.meshio import save_obj
+
+    mesh_path = str(tmp_path / "plane.obj")
+    save_obj(mesh_path, grid_plane(8, 8))
+    return ["app", "heat", "--mesh", mesh_path, "--dt", "10", "--steps", "400"]
+
+
+def _arap_with_unpinned_component(tmp_path):
+    from pointlap.geometry import Mesh, grid_plane
+    from pointlap.meshio import save_obj
+
+    plane = grid_plane(4, 4)  # 25 vertices; the second copy holds no constraint
+    mesh_path = str(tmp_path / "two.obj")
+    save_obj(mesh_path, Mesh(np.r_[plane.vertices, plane.vertices + [5.0, 0.0, 0.0]],
+                             np.r_[plane.triangles, plane.triangles + 25]))
+    cpath = tmp_path / "cons.json"
+    cpath.write_text(json.dumps({"fixed": [0]}))
+    return ["app", "arap", "--mesh", mesh_path, "--constraints", str(cpath)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_heat_with_unstable_step, "error: heat diffusion diverged at step 173"),
+    (_arap_with_unpinned_component,
+     "error: ARAP system is singular: a component holds no constrained vertex"),
+], ids=["heat-diverges", "arap-unpinned-component"])
+def test_numerical_failure_exits_1_without_traceback(tmp_path, capsys, argv, message):
+    out = str(tmp_path / "o")
+    assert main(argv(tmp_path) + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(message)
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "run_manifest.json"))
+
+
+@pytest.mark.parametrize("command, ini, message", [
+    ("train", "[training]\nepochs = ten\n", "[training] epochs: invalid literal"),
+    ("gen", "[dataset]\nnum_shapes = ten\n", "[dataset] num_shapes: invalid literal"),
+    ("train", "epochs = 3\n", "File contains no section headers"),
+    ("gen", "[dataset]\nnum_shapes = 3\n[dataset]\nkinds = box\n",
+     "section 'dataset' already exists"),
+], ids=["value-train", "value-gen", "no-section", "duplicate-section"])
+def test_ini_that_does_not_parse_names_file_or_key(dataset_dir, tmp_path, capsys, command,
+                                                    ini, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(ini)
+    out = str(tmp_path / "out")
+    argv = [command, "--out", out, "--config", str(cfg)]
+    if command == "train":
+        argv += ["--dataset", dataset_dir]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    if not message.startswith("["):
+        assert err.startswith(f"error: {cfg}: ")
+    assert len(err.splitlines()) == 1
     assert not os.path.exists(out)
 
 
@@ -680,3 +749,64 @@ def test_app_manifest_records_no_seed(tmp_path):
     assert set(manifest["args"]) == {"command", "subcommand", "threads", "out", "mesh",
                                      "cloud", "checkpoint", "operator", "k", "heat_t",
                                      "source", "steps", "dt"}
+
+
+@pytest.mark.parametrize("entry", ["gen", "train", "predict", "eval", "app heat", "app geodesic",
+                                   "app smooth", "app filter", "app arap"])
+def test_every_entry_point_records_its_run(dataset_dir, checkpoint_dir, tiny_cfg_file, tmp_path,
+                                           entry):
+    with open(os.path.join(dataset_dir, "index.json")) as f:
+        shape = os.path.join(dataset_dir, "shapes", json.load(f)["shapes"][0]["name"])
+    cpath = tmp_path / "cons.json"
+    cpath.write_text(json.dumps({"fixed": [0, 1, 2]}))
+    argv = {
+        "gen": ["--num-shapes", "1", "--config", tiny_cfg_file],
+        "train": ["--dataset", dataset_dir, "--epochs", "1", "--limit", "2",
+                  "--config", tiny_cfg_file],
+        "predict": ["--checkpoint", checkpoint_dir, "--cloud", os.path.join(shape, "points.ply")],
+        "eval": ["--dataset", dataset_dir, "--checkpoint", checkpoint_dir],
+        "app heat": ["--steps", "3"],
+        "app geodesic": [],
+        "app smooth": ["--iters", "2"],
+        "app filter": ["--n-modes", "4"],
+        "app arap": ["--constraints", str(cpath), "--iters", "1"],
+    }[entry]
+    if entry.startswith("app"):
+        argv += ["--mesh", os.path.join(shape, "mesh.obj")]
+    out = str(tmp_path / "o")
+    assert main(entry.split() + argv + ["--out", out, "--threads", "1"]) == 0
+    manifest = json.load(open(os.path.join(out, "run_manifest.json")))
+    assert manifest["command"] == entry
+    assert manifest["outputs"]
+    assert all(os.path.exists(path) for path in manifest["outputs"])
+
+
+def test_train_divergence_exits_1_with_diagnostics(dataset_dir, tiny_cfg_file, tmp_path, capsys,
+                                                   monkeypatch):
+    from pointlap import training
+
+    def diverge(*args, **kwargs):
+        raise training.TrainingDiverged("non-finite loss at epoch 0")
+
+    monkeypatch.setattr(training, "train", diverge)
+    out = str(tmp_path / "run")
+    assert main(["train", "--dataset", dataset_dir, "--out", out, "--config", tiny_cfg_file,
+                 "--limit", "2"]) == 1
+    dump = os.path.join(out, "diverged.json")
+    assert json.load(open(dump)) == {"error": "non-finite loss at epoch 0"}
+    assert capsys.readouterr().err == f"error: non-finite loss at epoch 0 (diagnostics in {dump})\n"
+    assert not os.path.exists(os.path.join(out, "run_manifest.json"))
+
+
+def test_unexpected_error_propagates(dataset_dir, tiny_cfg_file, tmp_path, monkeypatch):
+    from pointlap import training
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("not a solver failure")
+
+    monkeypatch.setattr(training, "train", fail)
+    out = str(tmp_path / "run")
+    with pytest.raises(RuntimeError, match="not a solver failure"):
+        main(["train", "--dataset", dataset_dir, "--out", out, "--config", tiny_cfg_file,
+              "--limit", "2"])
+    assert not os.path.exists(os.path.join(out, "run_manifest.json"))
