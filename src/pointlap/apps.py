@@ -5,7 +5,6 @@ from the cotangent ground truth, a graph baseline, or the network.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +18,12 @@ from .sparse import SolveError, _gemm, cg_solve, eig_smallest, lambda_max_estima
 
 def heat_diffuse(pair: LaplacianPair, u0: np.ndarray, dt: float = 1e-3,
                  steps: int = 1000) -> np.ndarray:
-    """Explicit Euler heat flow u <- u - dt * M^-1 L u; warns when dt * lambda_max >= 2.
+    """Explicit Euler heat flow u <- u - dt * M^-1 L u.
 
-    `dt` must be finite and positive and `steps` non-negative.
+    `dt` must be finite and positive and `steps` non-negative. The estimated
+    lambda_max is a Rayleigh quotient, at most the true one, so dt * lambda_max
+    >= 2 proves the step unstable and raises `FloatingPointError` at once; as
+    the estimate can undershoot, a field that turns non-finite raises too.
     """
     u = np.asarray(u0, dtype=np.float64).copy()
     if u.shape[0] != pair.n:
@@ -32,8 +34,7 @@ def heat_diffuse(pair: LaplacianPair, u0: np.ndarray, dt: float = 1e-3,
         raise ValueError(f"steps must be non-negative, got {steps}")
     lam = lambda_max_estimate(pair.stiffness, pair.mass)
     if dt * lam >= 2.0:
-        warnings.warn(f"explicit Euler unstable: dt * lambda_max = {dt * lam:.3g} >= 2",
-                      RuntimeWarning, stacklevel=2)
+        raise FloatingPointError(f"explicit Euler unstable: dt * lambda_max = {dt * lam:.3g} >= 2")
     for step in range(steps):
         u -= dt * pair.apply(u)
         if not np.all(np.isfinite(u)):

@@ -28,6 +28,8 @@ import os
 import numpy as np
 from scipy.sparse import csc_array
 
+from .meshio import write_atomic
+
 class NonFiniteError(FloatingPointError):
     pass
 
@@ -507,25 +509,19 @@ def kaiming_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 def save_checkpoint(path, params: dict, extra: dict | None = None) -> None:
     """Directory checkpoint: manifest.json plus one params.bin blob file."""
     os.makedirs(path, exist_ok=True)
-    entries = []
-    offset = 0
+    entries, blobs, offset = [], [], 0
+    for name in sorted(params):
+        p = params[name]
+        blobs.append(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        entries.append({"name": name, "shape": list(p.data.shape),
+                        "offset": offset, "nbytes": len(blobs[-1]), "step": p.step})
+        offset += len(blobs[-1])
     # both files are written aside and swapped in, so a save that fails part
     # way leaves the previous checkpoint readable
-    tmp = os.path.join(path, "params.bin.tmp")
-    with open(tmp, "wb") as f:
-        for name in sorted(params):
-            p = params[name]
-            blob = np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-            entries.append({"name": name, "shape": list(p.data.shape),
-                            "offset": offset, "nbytes": len(blob), "step": p.step})
-            f.write(blob)
-            offset += len(blob)
-    os.replace(tmp, os.path.join(path, "params.bin"))
+    write_atomic(os.path.join(path, "params.bin"), *blobs)
     manifest = {"format": 1, "params": entries, "extra": extra or {}}
-    tmp = os.path.join(path, "manifest.json.tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-    os.replace(tmp, os.path.join(path, "manifest.json"))
+    write_atomic(os.path.join(path, "manifest.json"),
+                 json.dumps(manifest, indent=1, sort_keys=True))
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:

@@ -97,6 +97,8 @@ def write_manifest(out_dir: str, command: str, args: dict, outputs: list,
     import numpy
     import scipy
 
+    from .meshio import write_atomic
+
     manifest = {
         "command": command,
         "args": {k: v for k, v in sorted(args.items()) if not callable(v)},
@@ -111,10 +113,7 @@ def write_manifest(out_dir: str, command: str, args: dict, outputs: list,
         "outputs": sorted(str(p) for p in outputs),
     }
     path = os.path.join(out_dir, "run_manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(manifest, indent=1, sort_keys=True))
     return path
 
 
@@ -168,7 +167,7 @@ def generate_dataset(out_dir: str, num_shapes: int, seed: int,
 
     from .geometry import SHAPE_KINDS, make_shape, normalize_unit_box, points_from_mesh
     from .laplacian import cotangent_laplacian
-    from .meshio import save_obj, save_ply
+    from .meshio import save_obj, save_ply, write_atomic
     from .probes import save_probes, spectral_probes
     from .sparse import save_matrix_market, save_vector
 
@@ -195,10 +194,7 @@ def generate_dataset(out_dir: str, num_shapes: int, seed: int,
             "name": name, "kind": kind, "resolution": resolution,
             "seed": shape_seed, "n_vertices": mesh.num_vertices,
         })
-    tmp = os.path.join(out_dir, "index.json.tmp")
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(index, f, indent=1, sort_keys=True)
-    os.replace(tmp, os.path.join(out_dir, "index.json"))
+    write_atomic(os.path.join(out_dir, "index.json"), json.dumps(index, indent=1, sort_keys=True))
     return index
 
 
@@ -284,6 +280,7 @@ def cmd_train(args) -> tuple:
     samples = load_dataset(args.dataset, model_cfg, limit=args.limit)
     os.makedirs(args.out, exist_ok=True)
 
+    from .meshio import write_atomic
     from .training import TrainingDiverged, train, write_log_csv
 
     log_path = os.path.join(args.out, "log.csv")
@@ -291,8 +288,7 @@ def cmd_train(args) -> tuple:
         result = train(samples, model_cfg, train_cfg, out_dir=args.out)
     except TrainingDiverged as exc:
         dump = os.path.join(args.out, "diverged.json")
-        with open(dump, "w", encoding="utf-8") as f:
-            json.dump({"error": str(exc)}, f)
+        write_atomic(dump, json.dumps({"error": str(exc)}))
         raise FloatingPointError(f"{exc} (diagnostics in {dump})") from exc
     write_log_csv(log_path, result.log)
     final = result.log[-1]
@@ -309,7 +305,7 @@ def cmd_predict(args) -> tuple:
 
     from .geometry import normalize_unit_box
     from .knn import build_knn
-    from .meshio import load_mesh
+    from .meshio import load_mesh, write_atomic
     from .model import build_hierarchy, load_model
     from .sparse import save_matrix_market, save_vector
 
@@ -335,13 +331,12 @@ def cmd_predict(args) -> tuple:
     save_matrix_market(l_path, pair.stiffness)
     save_vector(m_path, pair.mass)
     sidecar = os.path.join(args.out, "pair.json")
-    with open(sidecar, "w", encoding="utf-8") as f:
-        json.dump({"tag": pair.tag, "n": pair.n, "k": model.config.k,
-                   "sparsity": pair.sparsity(),
-                   "dead_edge_fraction": dead_fraction, "components": components,
-                   "levels": [level.graph.num_vertices for level in hier.levels],
-                   "voxel_sizes": [pool.voxel_size for pool in hier.pools],
-                   "stage_s": stage_s}, f, indent=1, sort_keys=True)
+    write_atomic(sidecar, json.dumps(
+        {"tag": pair.tag, "n": pair.n, "k": model.config.k, "sparsity": pair.sparsity(),
+         "dead_edge_fraction": dead_fraction, "components": components,
+         "levels": [level.graph.num_vertices for level in hier.levels],
+         "voxel_sizes": [pool.voxel_size for pool in hier.pools],
+         "stage_s": stage_s}, indent=1, sort_keys=True))
     return [l_path, m_path, sidecar], None, f"predicted operator for {pair.n} points -> {args.out}"
 
 
@@ -376,6 +371,9 @@ def cmd_eval(args) -> tuple:
         source = args.baseline
     samples = load_dataset(args.dataset, model_cfg, limit=args.limit)
 
+    import numpy as np
+
+    from .meshio import write_atomic
     from .probes import eval_probe_set
     from .training import evaluate
 
@@ -387,20 +385,16 @@ def cmd_eval(args) -> tuple:
         res = evaluate(pair, s.gt, probes)
         rows.append((s.kind, s.name, res.mse, res.r_gt1, res.sparsity))
 
+    by_kind: dict[str, list] = {}
+    for kind, _, mse, r, sp in rows:
+        by_kind.setdefault(kind, []).append((mse, r, sp))
+    m = np.mean([(r[2], r[3], r[4]) for r in rows], axis=0).tolist()
+    lines = rows + [(kind, "(mean)", *np.mean(by_kind[kind], axis=0).tolist())
+                    for kind in sorted(by_kind)] + [("total", "", *m)]
     path = os.path.join(args.out, "metrics.csv")
-    with open(path, "w", encoding="ascii") as f:
-        f.write("category,name,mse,r_gt1,sparsity\n")
-        for kind, name, mse, r, sp in rows:
-            f.write(f"{kind},{name},{float(mse)!r},{float(r)!r},{float(sp)!r}\n")
-        by_kind: dict[str, list] = {}
-        for kind, _, mse, r, sp in rows:
-            by_kind.setdefault(kind, []).append((mse, r, sp))
-        import numpy as np
-        for kind in sorted(by_kind):
-            m = np.mean(by_kind[kind], axis=0)
-            f.write(f"{kind},(mean),{float(m[0])!r},{float(m[1])!r},{float(m[2])!r}\n")
-        m = np.mean([(r[2], r[3], r[4]) for r in rows], axis=0)
-        f.write(f"total,,{float(m[0])!r},{float(m[1])!r},{float(m[2])!r}\n")
+    write_atomic(path, "category,name,mse,r_gt1,sparsity\n",
+                 "".join(f"{kind},{name},{float(mse)!r},{float(r)!r},{float(sp)!r}\n"
+                         for kind, name, mse, r, sp in lines))
     return [path], None, (f"evaluated {len(rows)} shapes with source={source}: "
                           f"total mse {m[0]:.4f}, r>1 {m[1]:.3%}, sparsity {m[2]:.2f}")
 
@@ -442,7 +436,7 @@ def _app_inputs(args, source: int | None = None):
 def _app_finish(args, stem: str, points, field=None) -> tuple:
     """Write `points` to OUT/stem.ply, colored by `field` when given, whose
     values then also go to OUT/stem.csv; the app's return value."""
-    from .meshio import save_ply, scalar_to_colors
+    from .meshio import save_ply, scalar_to_colors, write_atomic
 
     os.makedirs(args.out, exist_ok=True)
     outputs = [os.path.join(args.out, stem + ".ply")]
@@ -451,10 +445,8 @@ def _app_finish(args, stem: str, points, field=None) -> tuple:
     else:
         save_ply(outputs[0], points, colors=scalar_to_colors(field))
         outputs.append(os.path.join(args.out, stem + ".csv"))
-        with open(outputs[1], "w", encoding="ascii") as f:
-            f.write("vertex,value\n")
-            for i, val in enumerate(field):
-                f.write(f"{i},{float(val)!r}\n")
+        write_atomic(outputs[1], "vertex,value\n",
+                     "".join(f"{i},{float(val)!r}\n" for i, val in enumerate(field.tolist())))
     return outputs, None, f"app {args.subcommand}: wrote {len(outputs)} files to {args.out}"
 
 
@@ -524,14 +516,20 @@ def app_arap(args) -> tuple:
     if not isinstance(spec, dict) or "fixed" not in spec:
         raise ValueError(f"{path}: no \"fixed\" key")
 
+    def array(key):
+        try:
+            return np.asarray(spec.get(key, []))
+        except ValueError:  # numpy refuses a ragged nesting
+            raise ValueError(f"{path}: \"{key}\" is a ragged list") from None
+
     def indices(key):
-        idx = np.asarray(spec.get(key, []))
+        idx = array(key)
         if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n):
             raise ValueError(f"{path}: \"{key}\" indices must lie in [0, {n}) and be integers")
         return idx.astype(np.int64).reshape(-1)
 
     fixed, handles = indices("fixed"), indices("handle_indices")
-    targets = np.asarray(spec.get("handle_targets", []))
+    targets = array("handle_targets")
     well_formed = (targets.dtype.kind in "iuf" and targets.shape == (handles.size, 3)
                    and np.isfinite(targets).all())
     if (handles.size or targets.size) and not well_formed:

@@ -8,7 +8,7 @@ construction never sees exact distance ties.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +91,6 @@ class Mesh:
 @dataclass
 class PointCloud:
     points: np.ndarray  # (n, 3) float64
-    source: Mesh | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -104,7 +103,7 @@ class PointCloud:
 
 def points_from_mesh(mesh: Mesh) -> PointCloud:
     """Drop connectivity; point i is vertex i, order preserved."""
-    return PointCloud(mesh.vertices.copy(), source=mesh)
+    return PointCloud(mesh.vertices.copy())
 
 
 def normalize_unit_box(mesh: Mesh) -> Mesh:

@@ -2,12 +2,12 @@
 
 OBJ is text only (v/f records, polygon faces fan-triangulated). PLY supports
 ASCII and binary little-endian, positions plus optional uchar RGB. Text
-exports print floats with repr so coordinates round-trip bit-exactly.
+exports print floats with repr so coordinates round-trip bit-exactly. Every
+file the package writes goes through `write_atomic`.
 """
 from __future__ import annotations
 
 import os
-import struct
 
 import numpy as np
 
@@ -55,6 +55,22 @@ def scalar_to_colors(values: np.ndarray, vmin: float | None = None,
     return COLOR_TABLE[idx]
 
 
+def write_atomic(path, *chunks) -> None:
+    """Write str (as UTF-8) or bytes `chunks` to `path` + ".tmp", then move it
+    onto `path`: a write that fails part way leaves any previous file intact
+    and no partial file behind."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 # -- OBJ ----------------------------------------------------------------------
 
 def load_obj(path) -> Mesh:
@@ -99,11 +115,9 @@ def load_obj(path) -> Mesh:
 
 
 def save_obj(path, mesh: Mesh) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        for v in mesh.vertices:
-            f.write(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}\n")
-        for t in mesh.triangles:
-            f.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+    write_atomic(path,
+                 "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices.tolist()),
+                 "".join(f"f {a} {b} {c}\n" for a, b, c in (mesh.triangles + 1).tolist()))
 
 
 # -- PLY ----------------------------------------------------------------------
@@ -142,26 +156,19 @@ def save_ply(path, mesh_or_points, colors: np.ndarray | None = None,
     header += [f"element face {len(tris)}",
                "property list uchar int vertex_indices", "end_header"]
 
+    head = "\n".join(header) + "\n"
+    rgb = np.zeros((len(verts), 0), np.uint8) if colors is None else colors  # no colors: 0 columns
     if binary:
-        with open(path, "wb") as f:
-            f.write(("\n".join(header) + "\n").encode("ascii"))
-            for i, v in enumerate(verts):
-                f.write(struct.pack("<3f", *v.astype(np.float32)))
-                if colors is not None:
-                    f.write(struct.pack("<3B", *colors[i]))
-            for t in tris:
-                f.write(struct.pack("<B3i", 3, *t))
+        rows = np.empty(len(verts), dtype=[("xyz", "<f4", 3), ("rgb", "u1", rgb.shape[1])])
+        rows["xyz"], rows["rgb"] = verts, rgb
+        faces = np.empty(len(tris), dtype=[("arity", "u1"), ("vertex_indices", "<i4", 3)])
+        faces["arity"], faces["vertex_indices"] = 3, tris
+        write_atomic(path, head, rows.tobytes(), faces.tobytes())
     else:
-        with open(path, "w", encoding="ascii") as f:
-            f.write("\n".join(header) + "\n")
-            for i, v in enumerate(verts):
-                line = f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}"
-                if colors is not None:
-                    c = colors[i]
-                    line += f" {c[0]} {c[1]} {c[2]}"
-                f.write(line + "\n")
-            for t in tris:
-                f.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+        write_atomic(path, head,
+                     "".join(f"{x!r} {y!r} {z!r}{''.join(f' {c}' for c in col)}\n"
+                             for (x, y, z), col in zip(verts.tolist(), rgb.tolist())),
+                     "".join(f"3 {a} {b} {c}\n" for a, b, c in tris.tolist()))
 
 
 def load_ply(path) -> Mesh:

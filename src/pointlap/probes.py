@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .laplacian import LaplacianPair
+from .meshio import write_atomic
 from .sparse import eig_smallest, lambda_max_estimate
 
 SPATIAL_FREQUENCIES = tuple(2.0 ** (m / 2.0) for m in range(14))
@@ -169,11 +170,8 @@ def save_probes(path, probes: ProbeSet) -> None:
         "cols": probes.values.shape[1],
         "meta": [m.to_dict() for m in probes.meta],
     }, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        f.write(np.ascontiguousarray(probes.values, dtype="<f8").tobytes())
+    write_atomic(path, _MAGIC, struct.pack("<I", len(header)), header,
+                 np.ascontiguousarray(probes.values, dtype="<f8").tobytes())
 
 
 def load_probes(path) -> ProbeSet:

@@ -32,6 +32,8 @@ from scipy.linalg.blas import dgemm
 from scipy.sparse import csc_array, csr_array, diags_array, eye_array
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, cg, eigsh, splu
 
+from .meshio import write_atomic
+
 
 class SolveError(RuntimeError):
     """An iterative solver failed to reach the requested tolerance."""
@@ -54,11 +56,13 @@ class SparseMatrix:
     def from_coo(n, rows, cols, vals) -> "SparseMatrix":
         """Build CSR from triplets; duplicate (i, j) entries are summed.
 
-        Duplicates are summed left to right in input order (a stable sort,
-        then `np.add.reduceat`), and that order is part of the contract:
-        scipy's own COO-to-CSR conversion sums in another order, and a one-ulp
-        change on the diagonal of a sphere or torus Laplacian rotates the
-        basis of a repeated eigenvalue, so the spectral probes change by O(1).
+        A stable sort by (row, col) keeps each run of duplicates in input
+        order, and `np.add.reduceat` adds the run's first entry to numpy's
+        pairwise sum of the rest: [1e16, 1, 1, -1e16] sums to 2.0, where left
+        to right gives 0.0. That association is part of the contract: scipy's
+        own COO-to-CSR conversion sums in another order, and a one-ulp change
+        on the diagonal of a sphere or torus Laplacian rotates the basis of a
+        repeated eigenvalue, so the spectral probes change by O(1).
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -315,12 +319,11 @@ def save_matrix_market(path, a: SparseMatrix) -> None:
     """Write symmetric `a` as its lower triangle, each value in shortest round-trip form."""
     rows, cols, vals = a.to_coo()
     keep = rows >= cols
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    with open(path, "w", encoding="ascii") as f:
-        f.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        f.write(f"{a.n} {a.n} {vals.size}\n")
-        for i, j, v in zip(rows, cols, vals):
-            f.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+    rows, cols, vals = rows[keep] + 1, cols[keep] + 1, vals[keep]
+    write_atomic(path, "%%MatrixMarket matrix coordinate real symmetric\n",
+                 f"{a.n} {a.n} {vals.size}\n",
+                 "".join(f"{i} {j} {v!r}\n"
+                         for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())))
 
 
 def load_matrix_market(path) -> SparseMatrix:
@@ -344,9 +347,7 @@ def load_matrix_market(path) -> SparseMatrix:
 
 
 def save_vector(path, v: np.ndarray) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        for x in np.asarray(v, dtype=np.float64):
-            f.write(f"{float(x)!r}\n")
+    write_atomic(path, "".join(f"{x!r}\n" for x in np.asarray(v, dtype=np.float64).tolist()))
 
 
 def load_vector(path) -> np.ndarray:

@@ -19,6 +19,7 @@ from .autodiff import Tape, Tensor
 from .geometry import Mesh, points_from_mesh
 from .knn import KnnGraph, build_knn
 from .laplacian import LaplacianPair, cotangent_laplacian
+from .meshio import write_atomic
 from .model import GraphHierarchy, LaplacianNet, ModelConfig, build_hierarchy, save_model
 from .probes import ProbeSet, eval_probe_set, spatial_probes, spectral_probes
 
@@ -253,8 +254,6 @@ def train(samples: list, model_cfg: ModelConfig | None = None,
 
 def write_log_csv(path, rows: list) -> None:
     cols = ["epoch", "lr", "loss_laplacian", "loss_mass", "loss_total", "holdout_mse"]
-    with open(path, "w", encoding="ascii") as f:
-        f.write(",".join(cols) + "\n")
-        for row in rows:
-            f.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                             for c in cols) + "\n")
+    lines = [",".join(cols)] + [",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
+                                         for c in cols) for row in rows]
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -1,6 +1,6 @@
-"""Shared numerical oracles for the test suite.
+"""Shared numerical oracles and a write-fault injector for the test suite.
 
-Everything here is deliberately independent of the library's fast paths:
+The oracles are deliberately independent of the library's fast paths:
 dense matrices, exhaustive scans, and plain finite differences.
 """
 import numpy as np
@@ -95,3 +95,29 @@ def directional_gradcheck(loss_fn, params, rng, trials=30, h=1e-6, floor=1e-8):
         fd = (vals[0] - vals[1]) / (2 * h)
         worst = max(worst, rel_err(fd, float(grad_vec @ d), floor))
     return worst
+
+
+def fail_on_second_write(monkeypatch, module):
+    """Make every binary file that `module` opens raise OSError on its second write."""
+
+    class FailingFile:
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def write(self, blob):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("disk full")
+            return self.f.write(blob)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        f = open(file, mode, *args, **kwargs)
+        return FailingFile(f) if mode == "wb" else f
+
+    monkeypatch.setattr(module, "open", failing_open, raising=False)

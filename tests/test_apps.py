@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_generalized_eigs
+from pointlap import apps
 from pointlap.apps import (DeformationConstraints, arap_deform, geodesic_heat,
                            heat_diffuse, laplacian_smooth, spectral_filter)
 from pointlap.geometry import (SHAPE_KINDS, GeometryError, Mesh, grid_plane, icosphere,
@@ -46,10 +47,16 @@ class TestHeatDiffuse:
         drift = abs(float(pair.mass @ u) - total0) / max(abs(total0), 1e-300)
         assert drift < 1e-9
 
-    def test_instability_warns(self):
+    def test_instability_raises_before_stepping(self):
         pair = two_vertex_pair()
-        with pytest.warns(RuntimeWarning):
+        with pytest.raises(FloatingPointError, match=r"dt \* lambda_max = 3 >= 2"):
             heat_diffuse(pair, np.array([1.0, 0.0]), dt=1.5, steps=1)
+
+    def test_undershot_estimate_is_caught_per_step(self, monkeypatch):
+        # the λmax estimate can undershoot; the per-step check still stops the run
+        monkeypatch.setattr(apps, "lambda_max_estimate", lambda stiffness, mass: 1.0)
+        with pytest.raises(FloatingPointError, match="heat diffusion diverged at step"):
+            heat_diffuse(two_vertex_pair(), np.array([1.0, 0.0]), dt=1.5, steps=5000)
 
     def test_shape_check(self):
         with pytest.raises(ValueError):

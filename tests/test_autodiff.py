@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
-from helpers import op_gradcheck
+from helpers import fail_on_second_write, op_gradcheck
 from pointlap import autodiff as ad
+from pointlap import meshio
 from pointlap.autodiff import (NO_TAPE, NonFiniteError, Parameter, Tape, Tensor,
                                adamw_step, kaiming_uniform, load_checkpoint, save_checkpoint)
 
@@ -455,30 +456,8 @@ class TestInitAndCheckpoints:
         names = ("a.w", "b.w", "c.w")
         first = {n: Parameter(n, rng.standard_normal((4, 3))) for n in names}
         save_checkpoint(tmp_path / "ck", first)
-
-        class FailingFile:
-            """Binary writer that raises on the second parameter's write."""
-
-            def __init__(self, f):
-                self.f, self.writes = f, 0
-
-            def write(self, blob):
-                self.writes += 1
-                if self.writes == 2:
-                    raise OSError("disk full")
-                return self.f.write(blob)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.f.close()
-
-        def failing_open(file, mode="r", *args, **kwargs):
-            f = open(file, mode, *args, **kwargs)
-            return FailingFile(f) if mode == "wb" else f
-
-        monkeypatch.setattr(ad, "open", failing_open, raising=False)
+        # params.bin gets one write per parameter: the second one fails
+        fail_on_second_write(monkeypatch, meshio)
         second = {n: Parameter(n, rng.standard_normal((4, 3))) for n in names}
         with pytest.raises(OSError):
             save_checkpoint(tmp_path / "ck", second)

@@ -2,6 +2,7 @@
 import importlib
 import json
 import pkgutil
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,11 +52,18 @@ def test_tracer_installs_and_restores(monkeypatch):
 
 
 @pytest.mark.parametrize("workload", ["train", "infer"])
-def test_tiny_infer_run(workload):
-    """A tiny untraced run completes, passes its checks and reports every metric."""
-    root = PERFBENCH.parent
+def test_tiny_infer_run(workload, tmp_path):
+    """A tiny untraced run completes, passes its checks and reports every metric.
+
+    It runs in a copy of the benchmark, the package and BENCHMARK.json, so its
+    records do not overwrite a real run's under .perfbench/results."""
+    root = tmp_path
+    shutil.copytree(PERFBENCH, root / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(PERFBENCH.parent / "src", root / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copy(PERFBENCH.parent / "BENCHMARK.json", root)
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "7",
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload, "--seed", "7",
          "--seconds", "1", "--size", "tiny", "--trace", "0"],
         cwd=root, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

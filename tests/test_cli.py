@@ -378,8 +378,14 @@ def test_app_arap_cotangent_cylinder(tmp_path):
     ({"fixed": [0], "handle_indices": [5], "handle_targets": [[0, 0, float("nan")]]},
      '"handle_targets" must hold 1 finite [x, y, z] rows'),
     ({"fixed": [0], "handle_targets": [[0, 0, 1]]}, '"handle_targets" must hold 0 finite'),
+    ({"fixed": [0, [1, 2]]}, '"fixed" is a ragged list'),
+    ({"fixed": [0], "handle_indices": [5, [6]], "handle_targets": [[0, 0, 0]] * 2},
+     '"handle_indices" is a ragged list'),
+    ({"fixed": [0], "handle_indices": [5], "handle_targets": [[0, 0, 0], [1, 1]]},
+     '"handle_targets" is a ragged list'),
 ], ids=["fixed-out-of-range", "no-fixed-key", "fixed-not-integer", "handle-out-of-range",
-        "target-not-3d", "target-not-finite", "target-without-handle"])
+        "target-not-3d", "target-not-finite", "target-without-handle", "fixed-ragged",
+        "handle-ragged", "target-ragged"])
 def test_app_arap_rejects_malformed_constraints(tmp_path, capsys, spec, message):
     from pointlap.geometry import grid_plane
     from pointlap.meshio import save_obj
@@ -420,7 +426,7 @@ def _arap_with_unpinned_component(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (_heat_with_unstable_step, "error: heat diffusion diverged at step 173"),
+    (_heat_with_unstable_step, "error: explicit Euler unstable: dt * lambda_max = 62.7 >= 2"),
     (_arap_with_unpinned_component,
      "error: ARAP system is singular: a component holds no constrained vertex"),
 ], ids=["heat-diverges", "arap-unpinned-component"])

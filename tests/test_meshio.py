@@ -1,7 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
+from helpers import fail_on_second_write
+from pointlap import meshio
 from pointlap.geometry import icosphere, make_shape
+from pointlap.laplacian import cotangent_laplacian
 from pointlap.meshio import (MeshParseError, load_mesh, load_obj, load_ply,
                              save_obj, save_ply, scalar_to_colors)
 
@@ -94,6 +99,43 @@ def test_load_mesh_dispatch(tmp_path):
     assert load_mesh(ply).num_vertices == mesh.num_vertices
     with pytest.raises(FileNotFoundError):
         load_mesh(tmp_path / "missing.obj")
+
+
+def test_binary_ply_layout(tmp_path):
+    """Per vertex 3 little-endian float32 and 3 uchar; per face uchar 3 and 3 int32."""
+    mesh = icosphere(1)
+    colors = scalar_to_colors(mesh.vertices[:, 2])
+    path = tmp_path / "m.ply"
+    save_ply(path, mesh, colors=colors, binary=True)
+    blob = path.read_bytes()
+    body = blob[blob.index(b"end_header\n") + len(b"end_header\n"):]
+    expected = b"".join(struct.pack("<3f3B", *v, *c)
+                        for v, c in zip(mesh.vertices.tolist(), colors.tolist()))
+    expected += b"".join(struct.pack("<B3i", 3, *t) for t in mesh.triangles.tolist())
+    assert body == expected
+
+
+@pytest.mark.parametrize("fmt", ["mtx", "binary-ply"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, fmt):
+    """A save that fails part way leaves the old bytes and no partial file."""
+    from pointlap.sparse import save_matrix_market
+
+    path = tmp_path / ("L.mtx" if fmt == "mtx" else "points.ply")
+
+    def save(mesh):
+        if fmt == "mtx":
+            save_matrix_market(path, cotangent_laplacian(mesh).stiffness)
+        else:
+            save_ply(path, mesh, binary=True)
+
+    save(icosphere(1))
+    before = path.read_bytes()
+    fail_on_second_write(monkeypatch, meshio)
+    with pytest.raises(OSError, match="disk full"):
+        save(icosphere(2))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestColors:

@@ -66,7 +66,8 @@ class TestCSR:
     @pytest.mark.parametrize("case", ["cotangent", "learned"])
     def test_from_coo_sums_in_input_order(self, case, monkeypatch):
         # the order of summation is pinned bit for bit: a stable sort by
-        # (row, col), then each run of duplicates summed left to right
+        # (row, col), then each run of duplicates summed by np.add.reduceat,
+        # its first entry plus numpy's pairwise sum of the rest
         seen = []
         from_coo = SparseMatrix.from_coo
         monkeypatch.setattr(SparseMatrix, "from_coo",
