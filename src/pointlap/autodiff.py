@@ -525,16 +525,25 @@ def save_checkpoint(path, params: dict, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    """Returns ({name: Parameter}, extra-manifest dict)."""
+    """Returns ({name: Parameter}, extra-manifest dict). Unless the entries tile params.bin in
+    order, 8 bytes per value, ValueError names the file and the parameter."""
     with open(os.path.join(path, "manifest.json"), "r", encoding="utf-8") as f:
         manifest = json.load(f)
-    with open(os.path.join(path, "params.bin"), "rb") as f:
+    bin_path = os.path.join(path, "params.bin")
+    with open(bin_path, "rb") as f:
         raw = f.read()
-    params = {}
+    params, offset = {}, 0
     for ent in manifest["params"]:
-        arr = np.frombuffer(raw, dtype="<f8", count=int(np.prod(ent["shape"], dtype=int)),
-                            offset=ent["offset"]).reshape(ent["shape"])
+        count = int(np.prod(ent["shape"], dtype=int))
+        if (ent["offset"], ent["nbytes"]) != (offset, 8 * count) or offset + 8 * count > len(raw):
+            raise ValueError(f"{bin_path}: parameter {ent['name']!r} of shape {ent['shape']} "
+                             f"needs bytes {offset} to {offset + 8 * count} of a {len(raw)}-byte "
+                             f"file; the manifest says {ent['nbytes']} at offset {ent['offset']}")
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(ent["shape"])
         p = Parameter(ent["name"], arr.copy())
         p.step = ent.get("step", 0)
         params[ent["name"]] = p
+        offset += 8 * count
+    if offset != len(raw):
+        raise ValueError(f"{bin_path}: {len(raw) - offset} bytes after the last parameter")
     return params, manifest.get("extra", {})

@@ -162,7 +162,8 @@ def train_config_from_ini(cfg: configparser.ConfigParser, seed: int,
 def generate_dataset(out_dir: str, num_shapes: int, seed: int,
                      min_resolution: int = 500, max_resolution: int = 900,
                      kinds: tuple | None = None) -> dict:
-    """Write shapes with ground truth and spectral probes; returns the index."""
+    """Write shapes with ground truth and spectral probes; returns the index. Loading reads
+    mesh.obj and the probes; points.ply, gt_L.mtx and gt_M.txt are exports it does not read."""
     import numpy as np
 
     from .geometry import SHAPE_KINDS, make_shape, normalize_unit_box, points_from_mesh
@@ -199,19 +200,14 @@ def generate_dataset(out_dir: str, num_shapes: int, seed: int,
 
 
 def load_dataset(dataset_dir: str, model_cfg=None, limit: int | None = None) -> list:
-    """Read the first `limit` shapes (all when None) back into TrainingSamples;
-    validates ground-truth row sums and masses."""
+    """The first `limit` shapes (all when None) as `prepare_sample` builds them from mesh.obj
+    and the stored probes; the ground truth is rebuilt, the gt_L.mtx/gt_M.txt exports unread."""
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    import numpy as np
-
-    from .knn import build_knn
-    from .laplacian import LaplacianPair
     from .meshio import load_obj
-    from .model import ModelConfig, build_hierarchy
+    from .model import ModelConfig
     from .probes import load_probes
-    from .sparse import load_matrix_market, load_vector, spmv
-    from .training import TrainingSample
+    from .training import prepare_sample
 
     model_cfg = model_cfg or ModelConfig()
     with open(os.path.join(dataset_dir, "index.json"), "r", encoding="utf-8") as f:
@@ -220,22 +216,9 @@ def load_dataset(dataset_dir: str, model_cfg=None, limit: int | None = None) -> 
     shapes = index["shapes"] if limit is None else index["shapes"][:limit]
     for entry in shapes:
         shape_dir = os.path.join(dataset_dir, "shapes", entry["name"])
-        mesh = load_obj(os.path.join(shape_dir, "mesh.obj"))
-        stiffness = load_matrix_market(os.path.join(shape_dir, "gt_L.mtx"))
-        mass = load_vector(os.path.join(shape_dir, "gt_M.txt"))
-        if mass.shape != (stiffness.n,) or not np.all(np.isfinite(mass)) or np.any(mass <= 0):
-            raise ValueError(f"{entry['name']}: ground-truth masses must be {stiffness.n} "
-                             "finite positive values")
-        row_sums = spmv(stiffness, np.ones(stiffness.n))
-        scale = max(np.abs(stiffness.data).max(), 1e-300)
-        if np.abs(row_sums).max() > 1e-9 * scale:
-            raise ValueError(f"{entry['name']}: ground-truth stiffness rows do not sum to zero")
-        gt = LaplacianPair(stiffness, mass, tag="cotangent")
-        probes = load_probes(os.path.join(shape_dir, "probes_spectral.probes"))
-        graph = build_knn(mesh.vertices, k=model_cfg.k)
-        hier = build_hierarchy(graph)
-        samples.append(TrainingSample(entry["name"], entry["kind"], mesh.vertices.copy(),
-                                      hier, gt, probes))
+        samples.append(prepare_sample(
+            entry["name"], entry["kind"], load_obj(os.path.join(shape_dir, "mesh.obj")),
+            model_cfg, spectral=load_probes(os.path.join(shape_dir, "probes_spectral.probes"))))
     return samples
 
 

@@ -84,9 +84,6 @@ class Mesh:
             raise GeometryError(f"degenerate triangle {int(bad[0])} (area ~ 0)")
         return areas
 
-    def copy(self) -> "Mesh":
-        return Mesh(self.vertices.copy(), self.triangles.copy())
-
 
 @dataclass
 class PointCloud:

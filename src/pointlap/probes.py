@@ -8,8 +8,7 @@ sinusoids at 14 dyadic-half-step frequencies. The evaluation set is fixed:
 from __future__ import annotations
 
 import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,21 +34,20 @@ class ProbeMeta:
     name: str | None = None
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for key in ("eigenvalue", "k", "psi", "phi", "name"):
-            val = getattr(self, key)
-            if val is not None:
-                d[key] = val
-        if self.direction is not None:
-            d["direction"] = list(self.direction)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d = {key: val for key, val in d.items() if val is not None}
+        if "direction" in d:
+            d["direction"] = list(d["direction"])
         return d
 
     @staticmethod
     def from_dict(d: dict) -> "ProbeMeta":
-        direction = tuple(d["direction"]) if "direction" in d else None
-        return ProbeMeta(kind=d["kind"], eigenvalue=d.get("eigenvalue"), k=d.get("k"),
-                         psi=d.get("psi"), phi=d.get("phi"), direction=direction,
-                         name=d.get("name"))
+        if "kind" not in d:
+            raise ValueError(f"probe record without 'kind': {d!r}")
+        known = {f.name: d[f.name] for f in fields(ProbeMeta) if f.name in d}
+        if "direction" in known:
+            known["direction"] = tuple(known["direction"])
+        return ProbeMeta(**known)
 
 
 @dataclass
@@ -170,25 +168,29 @@ def save_probes(path, probes: ProbeSet) -> None:
         "cols": probes.values.shape[1],
         "meta": [m.to_dict() for m in probes.meta],
     }, sort_keys=True).encode("utf-8")
-    write_atomic(path, _MAGIC, struct.pack("<I", len(header)), header,
+    write_atomic(path, _MAGIC, len(header).to_bytes(4, "little"), header,
                  np.ascontiguousarray(probes.values, dtype="<f8").tobytes())
 
 
 def load_probes(path) -> ProbeSet:
+    """Read a file `save_probes` wrote; a malformed one raises ValueError naming `path`."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a probe file")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        payload = f.read()
-    rows, cols = header["rows"], header["cols"]
-    if len(payload) != rows * cols * 8:
-        raise ValueError(f"{path}: payload has {len(payload)} bytes, header says "
-                         f"{rows} x {cols} float64 ({rows * cols * 8} bytes)")
-    # no meta at all is a valid ProbeSet; a partial list is not
-    if header["meta"] and len(header["meta"]) != cols:
-        raise ValueError(f"{path}: {len(header['meta'])} probe meta entries for {cols} columns")
-    values = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
-    meta = [ProbeMeta.from_dict(d) for d in header["meta"]]
-    return ProbeSet(values, meta)
+        raw = f.read()
+    try:
+        if raw[:4] != _MAGIC:
+            raise ValueError("not a probe file")
+        hlen = int.from_bytes(raw[4:8], "little")
+        if len(raw) < 8 + hlen:
+            raise ValueError(f"file of {len(raw)} bytes ends inside its header")
+        header = json.loads(raw[8:8 + hlen].decode("utf-8"))
+        rows, cols, records = header["rows"], header["cols"], header["meta"]
+        payload = raw[8 + hlen:]
+        if len(payload) != rows * cols * 8:
+            raise ValueError(f"payload has {len(payload)} bytes, header says "
+                             f"{rows} x {cols} float64 ({rows * cols * 8} bytes)")
+        values = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
+        return ProbeSet(values, [ProbeMeta.from_dict(d) for d in records])
+    except KeyError as exc:
+        raise ValueError(f"{path}: header without {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

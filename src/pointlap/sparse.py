@@ -333,7 +333,7 @@ def load_matrix_market(path) -> SparseMatrix:
     summed, in `from_coo`'s order. Anything else, or a malformed file, raises
     `ValueError` naming the path.
     """
-    import scipy.io  # only dataset loading reads .mtx files; gen and predict skip the import
+    import scipy.io  # no command reads .mtx files, so none pays for this import
 
     try:
         n, cols, _, fmt, field, _ = scipy.io.mminfo(path)

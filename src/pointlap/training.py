@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .geometry import Mesh, points_from_mesh
+from .geometry import GeometryError, Mesh, points_from_mesh
 from .knn import KnnGraph, build_knn
 from .laplacian import LaplacianPair, cotangent_laplacian
 from .meshio import write_atomic
@@ -71,13 +71,20 @@ class TrainingSample:
 
 
 def prepare_sample(name: str, kind: str, mesh: Mesh, model_cfg: ModelConfig,
-                   spectral_count: int = 64, seed: int = 0) -> TrainingSample:
-    """Full per-shape preprocessing; the mesh is assumed normalized already."""
-    cloud = points_from_mesh(mesh)
-    graph = build_knn(cloud, k=model_cfg.k)
-    hier = build_hierarchy(graph)
-    gt = cotangent_laplacian(mesh)
-    spectral = spectral_probes(gt, count=spectral_count, seed=seed)
+                   spectral_count: int = 64, spectral: ProbeSet | None = None) -> TrainingSample:
+    """Full per-shape preprocessing of a normalized mesh; given `spectral` probes (one row per
+    vertex) skip the eigensolve. A bad mesh or probe set raises ValueError naming the shape."""
+    try:
+        gt = cotangent_laplacian(mesh)
+        cloud = points_from_mesh(mesh)
+    except GeometryError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if spectral is None:
+        spectral = spectral_probes(gt, count=spectral_count)
+    elif spectral.values.shape[0] != gt.n:
+        raise ValueError(f"{name}: probe set has {spectral.values.shape[0]} rows "
+                         f"for {gt.n} mesh vertices")
+    hier = build_hierarchy(build_knn(cloud, k=model_cfg.k))
     return TrainingSample(name, kind, cloud.points, hier, gt, spectral)
 
 

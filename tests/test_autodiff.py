@@ -451,6 +451,25 @@ class TestInitAndCheckpoints:
         assert again["layer.w"].step == 17
 
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw, entries: (raw[:-8], entries), "parameter 'b.w' of shape"),
+        (lambda raw, entries: (raw + b"x", entries), "1 bytes after the last parameter"),
+        (lambda raw, entries: (raw, [{**entries[0], "nbytes": 8}, *entries[1:]]),
+         "parameter 'a.w' of shape .* the manifest says 8 at offset 0"),
+    ], ids=["truncated", "trailing", "wrong-nbytes"])
+    def test_params_must_tile_the_file(self, tmp_path, edit, message):
+        import json
+
+        params = {n: Parameter(n, np.ones((2, 3))) for n in ("a.w", "b.w")}
+        save_checkpoint(tmp_path / "ck", params)
+        bin_path, man_path = tmp_path / "ck" / "params.bin", tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(man_path.read_text())
+        raw, manifest["params"] = edit(bin_path.read_bytes(), manifest["params"])
+        bin_path.write_bytes(raw)
+        man_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"^{bin_path}: {message}"):
+            load_checkpoint(tmp_path / "ck")
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(8)
         names = ("a.w", "b.w", "c.w")

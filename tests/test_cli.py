@@ -104,34 +104,93 @@ def test_gen_rerun_identical_index(dataset_dir, tiny_cfg_file, tmp_path):
     assert a == b
 
 
-def test_load_validates_row_sums(dataset_dir, tmp_path):
+def _copy_dataset(dataset_dir, tmp_path):
+    """A copy of the dataset and its index entries, one per shape."""
     import shutil
 
-    broken = str(tmp_path / "broken")
-    shutil.copytree(dataset_dir, broken)
-    with open(os.path.join(broken, "index.json")) as f:
-        name = json.load(f)["shapes"][0]["name"]
-    mtx = os.path.join(broken, "shapes", name, "gt_L.mtx")
-    lines = open(mtx).read().splitlines()
-    head, (i, j, v) = lines[:2], lines[2].split()
-    lines[2] = f"{i} {j} {float(v) + 0.5!r}"
-    open(mtx, "w").write("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
+    copy = str(tmp_path / "copy")
+    shutil.copytree(dataset_dir, copy)
+    with open(os.path.join(copy, "index.json")) as f:
+        return copy, json.load(f)["shapes"]
+
+
+def test_load_rejects_degenerate_triangle(dataset_dir, tmp_path):
+    broken, shapes = _copy_dataset(dataset_dir, tmp_path)
+    name = shapes[0]["name"]
+    obj = os.path.join(broken, "shapes", name, "mesh.obj")
+    lines = open(obj).read().splitlines()
+    first_face = next(i for i, line in enumerate(lines) if line.startswith("f "))
+    lines[first_face] = "f 1 1 2"
+    open(obj, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{name}: degenerate triangle 0"):
         load_dataset(broken, ModelConfig())
 
 
-def test_load_validates_mass_length(dataset_dir, tmp_path):
+def test_load_rejects_probes_of_another_shape(dataset_dir, tmp_path):
     import shutil
 
-    broken = str(tmp_path / "broken")
-    shutil.copytree(dataset_dir, broken)
-    with open(os.path.join(broken, "index.json")) as f:
-        name = json.load(f)["shapes"][0]["name"]
-    mass = os.path.join(broken, "shapes", name, "gt_M.txt")
-    lines = open(mass).read().splitlines()
-    open(mass, "w").write("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ValueError):
+    broken, shapes = _copy_dataset(dataset_dir, tmp_path)
+    a, b = shapes[0]["name"], shapes[1]["name"]
+    size_a, size_b = shapes[0]["n_vertices"], shapes[1]["n_vertices"]
+    assert size_a != size_b
+    shutil.copyfile(os.path.join(broken, "shapes", b, "probes_spectral.probes"),
+                    os.path.join(broken, "shapes", a, "probes_spectral.probes"))
+    with pytest.raises(ValueError,
+                       match=f"^{a}: probe set has {size_b} rows for {size_a} mesh vertices"):
         load_dataset(broken, ModelConfig())
+
+
+def test_load_ignores_exports(dataset_dir, tmp_path):
+    from pointlap.sparse import load_matrix_market, load_vector
+
+    copy, shapes = _copy_dataset(dataset_dir, tmp_path)
+    names = [s["name"] for s in shapes]
+    stored = {}
+    for name in names:
+        shape_dir = os.path.join(copy, "shapes", name)
+        stored[name] = (load_matrix_market(os.path.join(shape_dir, "gt_L.mtx")),
+                        load_vector(os.path.join(shape_dir, "gt_M.txt")))
+        os.remove(os.path.join(shape_dir, "gt_L.mtx"))
+        os.remove(os.path.join(shape_dir, "gt_M.txt"))
+    samples = load_dataset(copy, ModelConfig())
+    assert [s.name for s in samples] == names
+    for s in samples:
+        stiffness, mass = stored[s.name]
+        for key in ("indptr", "indices", "data"):
+            assert getattr(s.gt.stiffness, key).tobytes() == getattr(stiffness, key).tobytes()
+        assert s.gt.mass.tobytes() == mass.tobytes()
+
+
+def test_train_names_truncated_probe_file(dataset_dir, tiny_cfg_file, tmp_path, capsys):
+    broken, shapes = _copy_dataset(dataset_dir, tmp_path)
+    path = os.path.join(broken, "shapes", shapes[0]["name"], "probes_spectral.probes")
+    with open(path, "r+b") as f:
+        f.truncate(6)
+    out = str(tmp_path / "run")
+    assert main(["train", "--dataset", broken, "--out", out, "--config", tiny_cfg_file]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_predict_names_truncated_params(checkpoint_dir, dataset_dir, tmp_path, capsys):
+    import shutil
+
+    ck = str(tmp_path / "ck")
+    shutil.copytree(checkpoint_dir, ck)
+    params = os.path.join(ck, "params.bin")
+    with open(params, "r+b") as f:
+        f.truncate(100)
+    entries = json.load(open(os.path.join(ck, "manifest.json")))["params"]
+    cut = next(e["name"] for e in entries if e["offset"] + e["nbytes"] > 100)
+    with open(os.path.join(dataset_dir, "index.json")) as f:
+        name = json.load(f)["shapes"][0]["name"]
+    cloud = os.path.join(dataset_dir, "shapes", name, "points.ply")
+    out = str(tmp_path / "pred")
+    assert main(["predict", "--checkpoint", ck, "--cloud", cloud, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {params}: parameter {cut!r}")
+    assert err.count("\n") == 1
 
 
 def test_train_outputs(checkpoint_dir):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,42 @@ class TestProbeIO:
         save_probes(path, probes)
         with pytest.raises(ValueError, match="p.probes.*meta"):
             load_probes(path)
+
+    @staticmethod
+    def _rewrite(path, header=None, cut=None):
+        """Rewrite a probe file with its JSON header replaced or its bytes cut at `cut`."""
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[4:8], "little")
+        if header is not None:
+            text = header(json.loads(raw[8:8 + hlen])).encode()
+            raw = raw[:4] + len(text).to_bytes(4, "little") + text + raw[8 + hlen:]
+        path.write_bytes(raw[:cut])
+
+    @pytest.mark.parametrize("header, cut, message", [
+        (None, 6, "ends inside its header"),
+        (None, 30, "ends inside its header"),
+        (lambda h: json.dumps(h)[:-5], None, "Expecting|Unterminated|delimiter"),
+        (lambda h: json.dumps({k: v for k, v in h.items() if k != "rows"}), None,
+         "header without 'rows'"),
+        (lambda h: json.dumps({**h, "meta": [{"eigenvalue": 1.0}, *h["meta"][1:]]}), None,
+         "probe record without 'kind'"),
+        (lambda h: json.dumps([h]), None, "list indices"),
+    ], ids=["cut-in-length", "cut-in-header", "cut-json", "no-rows", "no-kind", "not-a-dict"])
+    def test_malformed_file_names_path(self, tmp_path, header, cut, message):
+        path = tmp_path / "p.probes"
+        save_probes(path, ProbeSet(np.arange(6.0).reshape(3, 2),
+                                   [ProbeMeta("spectral", eigenvalue=0.5)] * 2))
+        self._rewrite(path, header, cut)
+        with pytest.raises(ValueError, match=f"^{path}: .*({message})"):
+            load_probes(path)
+
+    def test_meta_dict_round_trip(self):
+        meta = ProbeMeta("sinusoid", k=2.0, psi=1.0, phi=0.0, direction=(0.0, 1.0, 0.0))
+        d = meta.to_dict()
+        assert d == {"kind": "sinusoid", "k": 2.0, "psi": 1.0, "phi": 0.0,
+                     "direction": [0.0, 1.0, 0.0]}
+        assert ProbeMeta.from_dict({**d, "unknown": 3}) == meta
+        assert ProbeMeta("polynomial", name="x").to_dict() == {"kind": "polynomial", "name": "x"}
 
     def test_take_and_concatenate(self):
         a = ProbeSet(np.ones((4, 3)))
